@@ -625,7 +625,7 @@ let micro () =
   let bench_marshal =
     Test.make ~name:"throughput/s2n+serialize-64KB"
       (Staged.stage (fun () ->
-           ignore (Serialize.to_string (Xrpc_soap.Marshal.s2n payload))))
+           ignore (Xrpc_soap.Marshal.sequence_to_string payload)))
   in
   let tests =
     [ bench_table1; bench_table2; bench_table3; bench_table4; bench_marshal ]
@@ -706,10 +706,9 @@ let ablations () =
   let subs = Store.children root_el in
   let params = [ Xdm.Node root_el ] :: List.map (fun s -> [ Xdm.Node s ]) subs in
   let size fragments =
-    List.fold_left
-      (fun n t -> n + String.length (Serialize.to_string t))
-      0
-      (Xrpc_soap.Marshal.s2n_call ~fragments params)
+    let buf = Buffer.create 4096 in
+    Xrpc_soap.Marshal.write_call ~fragments buf params;
+    Buffer.length buf
   in
   let plain = size false and compressed = size true in
   Printf.printf

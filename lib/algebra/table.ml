@@ -222,7 +222,7 @@ let vconcat = function
 let cell_to_string = function
   | Int i -> string_of_int i
   | Item (Xdm.Atomic a) -> Printf.sprintf "%S" (Xs.to_string a)
-  | Item (Xdm.Node n) -> Serialize.to_string (Store.to_tree n)
+  | Item (Xdm.Node n) -> Serialize.node_to_string n
 
 (* ------------------------------------------------------------------ *)
 (* Sequence encoding                                                   *)

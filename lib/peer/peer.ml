@@ -843,7 +843,8 @@ let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
     | Isolation.Expired key ->
         Message.Fault
           { fault_code = `Sender; reason = "queryID expired: " ^ key }
-    | Message.Protocol_error m | Xml_parse.Parse_error m ->
+    | Message.Protocol_error m | Xml_parse.Parse_error m
+    | Xrpc_soap.Marshal.Marshal_error m ->
         Message.Fault { fault_code = `Sender; reason = "malformed message: " ^ m }
     | Xrpc_xquery.Parser.Syntax_error m | Xrpc_xquery.Lexer.Lex_error m ->
         Message.Fault { fault_code = `Sender; reason = "module syntax error: " ^ m }

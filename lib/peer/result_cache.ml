@@ -90,7 +90,7 @@ let key ~module_uri ~fn ~arity ~(calls : Xdm.sequence list list) =
       List.iter
         (fun seq ->
           Buffer.add_char buf '\001';
-          Buffer.add_string buf (Serialize.to_string (Marshal.s2n seq)))
+          Marshal.write_sequence buf seq)
         params)
     calls;
   Buffer.contents buf

@@ -66,7 +66,8 @@ let tx transport ~dest op qid =
         transport_failed = true;
       }
   | exception Message.Protocol_error m
-  | exception Xrpc_xml.Xml_parse.Parse_error m ->
+  | exception Xrpc_xml.Xml_parse.Parse_error m
+  | exception Xrpc_soap.Marshal.Marshal_error m ->
       {
         peer = dest;
         ok = false;

@@ -338,12 +338,10 @@ let handle_raw (w : t) (body : string) : string =
           | None -> assert false
           | Some b ->
               let result = Xrpc_xquery.Eval.eval ctx b in
-              let envelope =
-                match result with
-                | [ Xdm.Node n ] -> Store.to_tree n
-                | _ -> err "generated query did not yield one envelope"
-              in
-              Serialize.document_to_string (Tree.Document [ envelope ]))
+              match result with
+              | [ Xdm.Node n ] ->
+                  Serialize.xml_declaration ^ Serialize.node_to_string n
+              | _ -> err "generated query did not yield one envelope")
     in
     let t3 = now_ms () in
     w.last.treebuild_ms <- t1 -. t0;

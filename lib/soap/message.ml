@@ -90,25 +90,6 @@ let query_id_key (q : query_id) = q.host ^ "@" ^ q.timestamp
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let xrpc local = Qname.make ~prefix:"xrpc" ~uri:Qname.ns_xrpc local
-let env local = Qname.make ~prefix:"env" ~uri:Qname.ns_env local
-
-(* When tracing is active the envelope grows a SOAP Header carrying the
-   (trace-id, parent-span) pair — see protocol/XRPC.xsd, xrpc:trace — so a
-   serving peer can hang its spans under the caller's span tree. *)
-let trace_header = function
-  | None -> []
-  | Some (trace_id, parent_span) ->
-      [
-        Tree.elem (xrpc "trace")
-          ~attrs:
-            [
-              Tree.attr (Qname.make "traceId") trace_id;
-              Tree.attr (Qname.make "parentSpan") parent_span;
-            ]
-          [];
-      ]
-
 (* Profiled responses carry the serving peer's per-phase wall costs back
    as one [serverProfile="name=ms;..."] attribute on xrpc:response
    (protocol/XRPC.xsd), so a client profile of a distributed query can
@@ -126,191 +107,155 @@ let fixed3 ms =
   ^ (if frac < 10 then "00" else if frac < 100 then "0" else "")
   ^ string_of_int frac
 
-let profile_attr = function
-  | None | Some [] -> []
+(* The envelope start tag, declaring the prefixes of
+   [Marshal.envelope_scope], behind the XML declaration. *)
+let envelope_start =
+  let buf = Buffer.create 512 in
+  Buffer.add_string buf Serialize.xml_declaration;
+  Buffer.add_string buf "<env:Envelope";
+  List.iter
+    (fun (prefix, uri) ->
+      if prefix <> "xml" then Serialize.add_attr buf ("xmlns:" ^ prefix) uri)
+    Marshal.envelope_scope;
+  Serialize.add_attr buf "xsi:schemaLocation"
+    "http://monetdb.cwi.nl/XQuery http://monetdb.cwi.nl/XQuery/XRPC.xsd";
+  Buffer.add_char buf '>';
+  Buffer.contents buf
+
+let add = Buffer.add_string
+let add_attr = Serialize.add_attr
+
+(* The end of a start tag whose content [write_content] may leave empty:
+   [/>] then, or [>content</name>]. *)
+let close_tag buf name ~empty write_content =
+  if empty then add buf "/>"
+  else (
+    Buffer.add_char buf '>';
+    write_content ();
+    add buf "</";
+    add buf name;
+    Buffer.add_char buf '>')
+
+let write_query_id buf (q : query_id) =
+  add buf "<xrpc:queryID";
+  add_attr buf "host" q.host;
+  add_attr buf "timestamp" q.timestamp;
+  add_attr buf "timeout" (string_of_int q.timeout);
+  (match q.level with
+  | Repeatable -> ()
+  | Snapshot -> add_attr buf "level" "snapshot");
+  add buf "/>"
+
+let write_request buf ~profile_flag r =
+  add buf "<xrpc:request";
+  add_attr buf "module" r.module_uri;
+  add_attr buf "method" r.method_;
+  add_attr buf "arity" (string_of_int r.arity);
+  add_attr buf "location" r.location;
+  if r.updating then add_attr buf "updCall" "true";
+  Option.iter (add_attr buf "idemKey") r.idem_key;
+  (* profile="true" asks the serving peer to measure and return its phase
+     costs; an attribute (like idemKey, not a header element) to keep the
+     flag at one node of cost *)
+  if profile_flag then add_attr buf "profile" "true";
+  (* cache="off" only when the caller opts out — the common case costs
+     zero wire bytes *)
+  if not r.cache_ok then add_attr buf "cache" "off";
+  if r.fragments then add_attr buf "fragments" "true";
+  close_tag buf "xrpc:request" ~empty:(r.query_id = None && r.calls = [])
+    (fun () ->
+      Option.iter (write_query_id buf) r.query_id;
+      List.iter
+        (fun params ->
+          add buf "<xrpc:call";
+          close_tag buf "xrpc:call" ~empty:(params = []) (fun () ->
+              Marshal.write_call ~fragments:r.fragments buf params))
+        r.calls)
+
+let write_response buf ?server_profile r =
+  add buf "<xrpc:response";
+  add_attr buf "module" r.resp_module;
+  add_attr buf "method" r.resp_method;
+  if r.cached then add_attr buf "cached" "true";
+  Option.iter (fun v -> add_attr buf "dbVersion" (string_of_int v)) r.db_version;
+  (match server_profile with
+  | None | Some [] -> ()
   | Some phases ->
-      [
-        Tree.attr
-          (Qname.make "serverProfile")
-          (String.concat ";"
-             (List.map (fun (name, ms) -> name ^ "=" ^ fixed3 ms) phases));
-      ]
+      add_attr buf "serverProfile"
+        (String.concat ";"
+           (List.map (fun (name, ms) -> name ^ "=" ^ fixed3 ms) phases)));
+  close_tag buf "xrpc:response" ~empty:(r.peers = [] && r.results = [])
+    (fun () ->
+      if r.peers <> [] then (
+        add buf "<xrpc:participatingPeers>";
+        List.iter
+          (fun p ->
+            add buf "<xrpc:peer";
+            add_attr buf "uri" p;
+            add buf "/>")
+          r.peers;
+        add buf "</xrpc:participatingPeers>");
+      List.iter (Marshal.write_sequence buf) r.results)
 
-let envelope ?trace body_children =
-  let header =
-    match trace_header trace with
-    | [] -> []
-    | children -> [ Tree.elem (env "Header") children ]
-  in
-  Tree.elem (env "Envelope")
-    ~attrs:
-      [
-        Tree.attr (Qname.make ~prefix:"xmlns" "xrpc") Qname.ns_xrpc;
-        Tree.attr (Qname.make ~prefix:"xmlns" "env") Qname.ns_env;
-        Tree.attr (Qname.make ~prefix:"xmlns" "xs") Qname.ns_xs;
-        Tree.attr (Qname.make ~prefix:"xmlns" "xsi") Qname.ns_xsi;
-        Tree.attr
-          (Qname.make ~prefix:"xsi" ~uri:Qname.ns_xsi "schemaLocation")
-          "http://monetdb.cwi.nl/XQuery http://monetdb.cwi.nl/XQuery/XRPC.xsd";
-      ]
-    (header @ [ Tree.elem (env "Body") body_children ])
-
-let query_id_elem (q : query_id) =
-  Tree.elem (xrpc "queryID")
-    ~attrs:
-      ([
-         Tree.attr (Qname.make "host") q.host;
-         Tree.attr (Qname.make "timestamp") q.timestamp;
-         Tree.attr (Qname.make "timeout") (string_of_int q.timeout);
-       ]
-      @
-      match q.level with
-      | Repeatable -> []
-      | Snapshot -> [ Tree.attr (Qname.make "level") "snapshot" ])
-    []
-
-let to_tree ?trace ?server_profile ?(profile_flag = false) = function
-  | Request r ->
-      let calls =
-        List.map
-          (fun params ->
-            Tree.elem (xrpc "call")
-              (Marshal.s2n_call ~fragments:r.fragments params))
-          r.calls
-      in
-      let qid = match r.query_id with None -> [] | Some q -> [ query_id_elem q ] in
-      envelope ?trace
-        [
-          Tree.elem (xrpc "request")
-            ~attrs:
-              ([
-                 Tree.attr (Qname.make "module") r.module_uri;
-                 Tree.attr (Qname.make "method") r.method_;
-                 Tree.attr (Qname.make "arity") (string_of_int r.arity);
-                 Tree.attr (Qname.make "location") r.location;
-               ]
-              @ (if r.updating then [ Tree.attr (Qname.make "updCall") "true" ] else [])
-              @ (match r.idem_key with
-                | Some k -> [ Tree.attr (Qname.make "idemKey") k ]
-                | None -> [])
-              (* profile="true" asks the serving peer to measure and
-                 return its phase costs; an attribute (like idemKey, not
-                 a header element) to keep the flag at one node of cost *)
-              @ (if profile_flag then [ Tree.attr (Qname.make "profile") "true" ]
-                 else [])
-              (* cache="off" only when the caller opts out — the common
-                 case costs zero wire bytes *)
-              @ (if r.cache_ok then []
-                 else [ Tree.attr (Qname.make "cache") "off" ])
-              @ if r.fragments then [ Tree.attr (Qname.make "fragments") "true" ] else [])
-            (qid @ calls);
-        ]
-  | Response r ->
-      let seqs = List.map Marshal.s2n r.results in
-      let peers =
-        match r.peers with
-        | [] -> []
-        | ps ->
-            [
-              Tree.elem (xrpc "participatingPeers")
-                (List.map
-                   (fun p ->
-                     Tree.elem (xrpc "peer")
-                       ~attrs:[ Tree.attr (Qname.make "uri") p ]
-                       [])
-                   ps);
-            ]
-      in
-      envelope ?trace
-        [
-          Tree.elem (xrpc "response")
-            ~attrs:
-              ([
-                 Tree.attr (Qname.make "module") r.resp_module;
-                 Tree.attr (Qname.make "method") r.resp_method;
-               ]
-              @ (if r.cached then [ Tree.attr (Qname.make "cached") "true" ]
-                 else [])
-              @ (match r.db_version with
-                | Some v ->
-                    [ Tree.attr (Qname.make "dbVersion") (string_of_int v) ]
-                | None -> [])
-              @ profile_attr server_profile)
-            (peers @ seqs);
-        ]
-  | Fault f ->
-      let code = match f.fault_code with `Sender -> "env:Sender" | `Receiver -> "env:Receiver" in
-      envelope ?trace
-        [
-          Tree.elem (env "Fault")
-            [
-              Tree.elem (env "Code") [ Tree.elem (env "Value") [ Tree.Text code ] ];
-              Tree.elem (env "Reason")
-                [
-                  Tree.elem (env "Text")
-                    ~attrs:[ Tree.attr (Qname.make ~prefix:"xml" ~uri:Qname.ns_xml "lang") "en" ]
-                    [ Tree.Text f.reason ];
-                ];
-            ];
-        ]
-  | Tx_request (op, q) ->
-      let opname =
-        match op with
-        | Prepare -> "prepare"
-        | Commit -> "commit"
-        | Rollback -> "rollback"
-        | Status -> "status"
-      in
-      envelope ?trace
-        [
-          Tree.elem (xrpc "transaction")
-            ~attrs:[ Tree.attr (Qname.make "operation") opname ]
-            [ query_id_elem q ];
-        ]
-  | Tx_response r ->
-      envelope ?trace
-        [
-          Tree.elem (xrpc "transactionResult")
-            ~attrs:
-              [
-                Tree.attr (Qname.make "ok") (if r.ok then "true" else "false");
-                Tree.attr (Qname.make "info") r.info;
-              ]
-            [];
-        ]
-
-(** Serialize a message to its on-the-wire form (with XML declaration).
-    When tracing is enabled and no explicit [?trace] pair is given, the
-    ambient span context ([Xrpc_obs.Trace.propagation]) is stamped into the
-    envelope header automatically; with tracing off the wire format is
-    byte-identical to previous releases. *)
-let to_string ?trace ?server_profile m =
-  let trace =
-    match trace with Some _ as t -> t | None -> Xrpc_obs.Trace.propagation ()
-  in
-  (* a request serialized while client-side profiling is on asks the
-     serving peer for its phase breakdown (the profile attribute) —
-     this is what lets call_profiled see a remote process's costs *)
-  let profile_flag =
-    match m with Request _ -> Xrpc_obs.Profile.enabled () | _ -> false
-  in
-  Serialize.document_to_string
-    (Tree.Document [ to_tree ?trace ?server_profile ~profile_flag m ])
-
-(** Like {!to_string}, but appending the wire form to [buf] — the
-    streaming-serialize hook: the event-loop server hands each
-    connection's reused output buffer here, so an envelope goes straight
-    from the tree into the socket's write queue without an intermediate
-    per-response string. *)
+(** Append a message's on-the-wire form (with XML declaration) to [buf].
+    The event-loop server hands each connection's reused output buffer
+    here, so an envelope goes straight from the store into the socket's
+    write queue.  When tracing is enabled and no explicit [?trace] pair is
+    given, the ambient span context ([Xrpc_obs.Trace.propagation]) is
+    stamped into the envelope header automatically; with tracing off the
+    wire format is byte-identical to previous releases. *)
 let to_buffer ?trace ?server_profile buf m =
   let trace =
     match trace with Some _ as t -> t | None -> Xrpc_obs.Trace.propagation ()
   in
-  let profile_flag =
-    match m with Request _ -> Xrpc_obs.Profile.enabled () | _ -> false
-  in
-  Serialize.document_to_buffer buf
-    (Tree.Document [ to_tree ?trace ?server_profile ~profile_flag m ])
+  add buf envelope_start;
+  (* When tracing is active the envelope grows a SOAP Header carrying the
+     (trace-id, parent-span) pair — see protocol/XRPC.xsd, xrpc:trace — so
+     a serving peer can hang its spans under the caller's span tree. *)
+  Option.iter
+    (fun (trace_id, parent_span) ->
+      add buf "<env:Header><xrpc:trace";
+      add_attr buf "traceId" trace_id;
+      add_attr buf "parentSpan" parent_span;
+      add buf "/></env:Header>")
+    trace;
+  add buf "<env:Body>";
+  (match m with
+  | Request r ->
+      (* a request serialized while client-side profiling is on asks the
+         serving peer for its phase breakdown (the profile attribute) —
+         this is what lets call_profiled see a remote process's costs *)
+      write_request buf ~profile_flag:(Xrpc_obs.Profile.enabled ()) r
+  | Response r -> write_response buf ?server_profile r
+  | Fault f ->
+      add buf "<env:Fault><env:Code><env:Value>";
+      add buf (match f.fault_code with `Sender -> "env:Sender" | `Receiver -> "env:Receiver");
+      add buf "</env:Value></env:Code><env:Reason><env:Text xml:lang=\"en\">";
+      Serialize.add_escaped_text buf f.reason;
+      add buf "</env:Text></env:Reason></env:Fault>"
+  | Tx_request (op, q) ->
+      add buf "<xrpc:transaction";
+      add_attr buf "operation"
+        (match op with
+        | Prepare -> "prepare"
+        | Commit -> "commit"
+        | Rollback -> "rollback"
+        | Status -> "status");
+      add buf ">";
+      write_query_id buf q;
+      add buf "</xrpc:transaction>"
+  | Tx_response r ->
+      add buf "<xrpc:transactionResult";
+      add_attr buf "ok" (if r.ok then "true" else "false");
+      add_attr buf "info" r.info;
+      add buf "/>");
+  add buf "</env:Body></env:Envelope>"
+
+(** Serialize a message to its on-the-wire form; see {!to_buffer}. *)
+let to_string ?trace ?server_profile m =
+  let buf = Buffer.create 1024 in
+  to_buffer ?trace ?server_profile buf m;
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
@@ -441,11 +386,9 @@ let of_tree tree =
               | _ -> false)
             kids
         with
-        | Some c when String.length (Tree.string_value c) > 0
-                      && String.length (Tree.string_value c) >= 6
-                      && String.sub (String.trim (Tree.string_value c))
-                           (String.length (String.trim (Tree.string_value c)) - 6) 6
-                         = "Sender" -> `Sender
+        | Some c
+          when String.ends_with ~suffix:"Sender"
+                 (String.trim (Tree.string_value c)) -> `Sender
         | _ -> `Receiver
       in
       let reason =
@@ -483,26 +426,32 @@ let of_tree tree =
         }
   | _ -> err "unrecognized SOAP body"
 
-(* The propagated (trace-id, parent-span) pair, if the envelope carries an
-   xrpc:trace header. *)
-let trace_of_tree = function
+(* The attributes of the first element named [local] in the envelope's
+   [section] ("Header" or "Body"). *)
+let envelope_child tree ~section ~local =
+  match tree with
   | Tree.Document [ Tree.Element { name; children; _ } ]
     when name.Qname.local = "Envelope" ->
       List.find_map
         (function
-          | Tree.Element { name; children; _ } when name.Qname.local = "Header" ->
+          | Tree.Element { name; children; _ } when name.Qname.local = section ->
               List.find_map
                 (function
-                  | Tree.Element { name; attrs; _ }
-                    when name.Qname.local = "trace" -> (
-                      match (find_attr attrs "traceId", find_attr attrs "parentSpan") with
-                      | Some t, Some p -> Some (t, p)
-                      | _ -> None)
+                  | Tree.Element { name; attrs; _ } when name.Qname.local = local ->
+                      Some attrs
                   | _ -> None)
-                (elem_children children)
+                children
           | _ -> None)
-        (elem_children children)
+        children
   | _ -> None
+
+(* The propagated (trace-id, parent-span) pair, if the envelope carries an
+   xrpc:trace header. *)
+let trace_of_tree tree =
+  Option.bind (envelope_child tree ~section:"Header" ~local:"trace") (fun attrs ->
+      match (find_attr attrs "traceId", find_attr attrs "parentSpan") with
+      | Some t, Some p -> Some (t, p)
+      | _ -> None)
 
 (* The serving peer's phase costs, if the response element carries a
    serverProfile attribute. *)
@@ -518,49 +467,27 @@ let parse_phase_list text =
       | None -> None)
     (String.split_on_char ';' text)
 
-let server_profile_of_tree = function
-  | Tree.Document [ Tree.Element { name; children; _ } ]
-    when name.Qname.local = "Envelope" ->
-      List.find_map
-        (function
-          | Tree.Element { name; children; _ } when name.Qname.local = "Body" ->
-              List.find_map
-                (function
-                  | Tree.Element { name; attrs; _ }
-                    when name.Qname.local = "response" ->
-                      Option.map parse_phase_list
-                        (find_attr attrs "serverProfile")
-                  | _ -> None)
-                (elem_children children)
-          | _ -> None)
-        (elem_children children)
-  | _ -> None
+let server_profile_of_tree tree =
+  Option.bind (envelope_child tree ~section:"Body" ~local:"response") (fun attrs ->
+      Option.map parse_phase_list (find_attr attrs "serverProfile"))
 
 (* Did the caller stamp profile="true" on the request element? *)
-let profile_requested_of_tree = function
-  | Tree.Document [ Tree.Element { name; children; _ } ]
-    when name.Qname.local = "Envelope" ->
-      List.exists
-        (function
-          | Tree.Element { name; children; _ } when name.Qname.local = "Body" ->
-              List.exists
-                (function
-                  | Tree.Element { name; attrs; _ }
-                    when name.Qname.local = "request" ->
-                      find_attr attrs "profile" = Some "true"
-                  | _ -> false)
-                (elem_children children)
-          | _ -> false)
-        (elem_children children)
-  | _ -> false
+let profile_requested_of_tree tree =
+  match envelope_child tree ~section:"Body" ~local:"request" with
+  | Some attrs -> find_attr attrs "profile" = Some "true"
+  | None -> false
+
+(* Whitespace is kept: it may be the value of an atomic or a text node,
+   and the structure readers above skip it between elements. *)
+let parse s = Xml_parse.document ~preserve_space:true s
 
 (** Parse an on-the-wire message. *)
-let of_string s = of_tree (Xml_parse.document s)
+let of_string s = of_tree (parse s)
 
 (** Parse a message together with the serving peer's phase costs, if the
     response element carries a serverProfile attribute. *)
 let of_string_profiled s =
-  let tree = Xml_parse.document s in
+  let tree = parse s in
   (of_tree tree, server_profile_of_tree tree)
 
 (** Server-side parse: the message, its propagated trace context, and
@@ -570,10 +497,10 @@ let of_string_profiled s =
     the request body inside its connection buffer, copy-free. *)
 let of_string_server ?(pos = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - pos in
-  let tree = Xml_parse.document_sub s ~pos ~len in
+  let tree = Xml_parse.document_sub ~preserve_space:true s ~pos ~len in
   (of_tree tree, trace_of_tree tree, profile_requested_of_tree tree)
 
 (** Parse a message together with its propagated trace context, if any. *)
 let of_string_traced s =
-  let tree = Xml_parse.document s in
+  let tree = parse s in
   (of_tree tree, trace_of_tree tree)

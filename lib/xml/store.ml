@@ -13,7 +13,6 @@ type kind = Doc | Elem | Attr | Txt | Comm | Pi
 type t = {
   doc_id : int;  (** globally unique store id; also orders documents *)
   uri : string;  (** document URI, or "" for constructed fragments *)
-  tree : Tree.t;  (** the original immutable tree *)
   kind : kind array;
   name : Qname.t option array;  (** element/attribute/PI names *)
   value : string array;  (** text/comment/attr content; PI data *)
@@ -49,21 +48,12 @@ let shred ?(uri = "") tree =
     (match t with
     | Tree.Document cs ->
         kind.(pre) <- Doc;
-        List.iter (go pre (lev + 1)) cs
+        go_list pre (lev + 1) cs
     | Tree.Element { name = nm; attrs; children } ->
         kind.(pre) <- Elem;
         name.(pre) <- Some nm;
-        List.iter
-          (fun (a : Tree.attr) ->
-            let apre = !next in
-            incr next;
-            kind.(apre) <- Attr;
-            name.(apre) <- Some a.name;
-            value.(apre) <- a.value;
-            parent.(apre) <- pre;
-            level.(apre) <- lev + 1)
-          attrs;
-        List.iter (go pre (lev + 1)) children
+        go_attrs pre (lev + 1) attrs;
+        go_list pre (lev + 1) children
     | Tree.Text s ->
         kind.(pre) <- Txt;
         value.(pre) <- s
@@ -75,10 +65,25 @@ let shred ?(uri = "") tree =
         name.(pre) <- Some (Qname.make target);
         value.(pre) <- data);
     size.(pre) <- !next - pre - 1
+  and go_list par lev = function
+    | [] -> ()
+    | t :: rest ->
+        go par lev t;
+        go_list par lev rest
+  and go_attrs owner lev = function
+    | [] -> ()
+    | (a : Tree.attr) :: rest ->
+        let apre = !next in
+        incr next;
+        kind.(apre) <- Attr;
+        name.(apre) <- Some a.name;
+        value.(apre) <- a.value;
+        parent.(apre) <- owner;
+        level.(apre) <- lev;
+        go_attrs owner lev rest
   in
   go (-1) 0 tree;
-  { doc_id = fresh_doc_id (); uri; tree; kind; name; value; parent; size;
-    level }
+  { doc_id = fresh_doc_id (); uri; kind; name; value; parent; size; level }
 
 let root store = { store; pre = 0 }
 let node_count t = Array.length t.kind

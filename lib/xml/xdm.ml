@@ -102,5 +102,5 @@ let to_display seq =
                  let a = Store.attr_tree n in
                  Printf.sprintf "%s=\"%s\"" (Qname.to_string a.Tree.name)
                    a.value
-             | _ -> Serialize.to_string (Store.to_tree n)))
+             | _ -> Serialize.node_to_string n))
        seq)

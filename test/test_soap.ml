@@ -11,7 +11,13 @@ let bool_ = Alcotest.bool
 let int_ = Alcotest.int
 let string_ = Alcotest.string
 
-let roundtrip seq = Marshal.n2s (Marshal.s2n seq)
+let root_element xml =
+  match Xml_parse.document ~preserve_space:true xml with
+  | Tree.Document [ e ] -> e
+  | _ -> Alcotest.fail "parse"
+
+(* every round trip below goes through the wire string *)
+let roundtrip seq = Marshal.n2s (root_element (Marshal.sequence_to_string seq))
 
 (* ------------------------------------------------------------------ *)
 (* s2n / n2s                                                           *)
@@ -126,9 +132,26 @@ let test_untyped_without_annotation () =
 
 (* ---- footnote-4 extension: call-by-fragment ---- *)
 
+(* [params] as the wire string of one xrpc:call, declaring the envelope's
+   prefixes itself *)
+let call_wire ~fragments params =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "<xrpc:call";
+  List.iter
+    (fun (prefix, uri) ->
+      if prefix <> "xml" then
+        Buffer.add_string buf (Printf.sprintf " xmlns:%s=\"%s\"" prefix uri))
+    Marshal.envelope_scope;
+  Buffer.add_char buf '>';
+  Marshal.write_call ~fragments buf params;
+  Buffer.add_string buf "</xrpc:call>";
+  Buffer.contents buf
+
 let fragment_roundtrip params =
-  let trees = Marshal.s2n_call ~fragments:true params in
-  (trees, Marshal.n2s_call trees)
+  let wire = call_wire ~fragments:true params in
+  match root_element wire with
+  | Tree.Element { children; _ } -> (wire, Marshal.n2s_call children)
+  | _ -> Alcotest.fail "call shape"
 
 let test_fragments_preserve_ancestry () =
   (* two parameters in a descendant relationship: plain call-by-value
@@ -158,12 +181,10 @@ let test_fragments_compress_message () =
   let root_el = List.hd (Store.children (Store.root big)) in
   let sub = List.nth (Store.children root_el) 10 in
   let params = [ [ Xdm.Node root_el ]; [ Xdm.Node sub ] ] in
-  let plain = Marshal.s2n_call ~fragments:false params in
-  let compressed = Marshal.s2n_call ~fragments:true params in
-  let size ts =
-    List.fold_left (fun n t -> n + String.length (Serialize.to_string t)) 0 ts
-  in
-  check bool_ "smaller on the wire" true (size compressed < size plain)
+  let plain = call_wire ~fragments:false params in
+  let compressed = call_wire ~fragments:true params in
+  check bool_ "smaller on the wire" true
+    (String.length compressed < String.length plain)
 
 let test_fragments_plain_params_unchanged () =
   (* unrelated parameters marshal exactly as without the extension *)

@@ -159,8 +159,9 @@ let film_store () =
     (parse Xrpc_workloads.Filmdb.film_db_xml)
 
 let test_store_counts () =
-  let s = film_store () in
-  check int_ "node count" (Tree.node_count s.Store.tree) (Store.node_count s)
+  let tree = parse Xrpc_workloads.Filmdb.film_db_xml in
+  let s = Store.shred ~uri:"filmDB.xml" tree in
+  check int_ "node count" (Tree.node_count tree) (Store.node_count s)
 
 let test_store_children_descendants () =
   let s = film_store () in
