@@ -16,7 +16,7 @@ module Strategies = Xrpc_core.Strategies
 module Peer = Xrpc_peer.Peer
 module Wrapper = Xrpc_peer.Wrapper
 module Database = Xrpc_peer.Database
-module Func_cache = Xrpc_peer.Func_cache
+module Plan_cache = Xrpc_peer.Plan_cache
 module Simnet = Xrpc_net.Simnet
 module Transport = Xrpc_net.Transport
 module Filmdb = Xrpc_workloads.Filmdb
@@ -76,7 +76,7 @@ let table2 () =
       Testmod.test_module;
     x.Peer.config <- { x.Peer.config with Peer.bulk_rpc = bulk };
     let compile_penalty = ref 0. in
-    y.Peer.func_cache.Func_cache.on_compile <-
+    y.Peer.plan_cache.Plan_cache.on_compile <-
       (fun _ -> compile_penalty := !compile_penalty +. modeled_compile_ms);
     let query = Testmod.echo_void_query ~dest:"xrpc://y" ~iterations in
     if warm_cache then begin

@@ -127,19 +127,15 @@ let keys_of_query query =
   | None -> []
 
 let cachez_json peer =
-  let s = Peer.cache_stats peer in
-  let p = s.Peer.plan and r = s.Peer.result in
-  Printf.sprintf
-    {|{"plan_cache":{"hits":%d,"misses":%d,"evictions":%d,"size":%d,"capacity":%d,"enabled":%b},"result_cache":{"hits":%d,"misses":%d,"stale":%d,"invalidations":%d,"evictions":%d,"size":%d,"capacity":%d,"enabled":%b},"func_cache":{"hits":%d,"misses":%d,"evictions":%d,"size":%d},"idem_cache":{"hits":%d,"misses":%d,"evictions":%d,"size":%d}}|}
-    p.Xrpc_peer.Plan_cache.hits p.Xrpc_peer.Plan_cache.misses
-    p.Xrpc_peer.Plan_cache.evictions p.Xrpc_peer.Plan_cache.size
-    p.Xrpc_peer.Plan_cache.capacity p.Xrpc_peer.Plan_cache.enabled
-    r.Xrpc_peer.Result_cache.hits r.Xrpc_peer.Result_cache.misses
-    r.Xrpc_peer.Result_cache.stale r.Xrpc_peer.Result_cache.invalidations
-    r.Xrpc_peer.Result_cache.evictions r.Xrpc_peer.Result_cache.size
-    r.Xrpc_peer.Result_cache.capacity r.Xrpc_peer.Result_cache.enabled
-    s.Peer.func_hits s.Peer.func_misses s.Peer.func_evictions s.Peer.func_size
-    s.Peer.idem_hits s.Peer.idem_misses s.Peer.idem_evictions s.Peer.idem_size
+  let obj fields =
+    "{"
+    ^ String.concat "," (List.map (fun (k, v) -> "\"" ^ k ^ "\":" ^ v) fields)
+    ^ "}"
+  in
+  obj
+    (List.map
+       (fun (name, fields) -> (name, obj fields))
+       (Peer.cache_sections peer))
 
 let tracez ~query =
   match Option.map int_of_string_opt (query_param query "id") with

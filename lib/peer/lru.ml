@@ -1,6 +1,7 @@
-(** Generic bounded LRU table — the {!Idem_cache} eviction pattern
-    (logical-tick recency, linear-scan eviction, internal mutex) factored
-    out so the plan and result caches share one implementation.
+(** Generic bounded LRU table — logical-tick recency, linear-scan
+    eviction, an internal mutex — and the only one: the plan cache (module
+    and ad-hoc plans), the result cache and the idempotency cache all keep
+    their entries here.
 
     The linear eviction scan is deliberate: at the capacities involved
     (hundreds to a few thousand entries) it costs microseconds, only runs
@@ -40,21 +41,19 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(** Lookup that counts a hit or miss and refreshes recency.  Disabled
-    caches always miss, silently (no counter noise from an off switch). *)
+(** Lookup that counts a hit or miss and refreshes recency.  A disabled
+    cache misses every lookup, and counts it. *)
 let find t key =
-  if not t.enabled then None
-  else
-    locked t @@ fun () ->
-    match Hashtbl.find_opt t.entries key with
-    | Some e ->
-        t.tick <- t.tick + 1;
-        e.last_used <- t.tick;
-        t.hits <- t.hits + 1;
-        Some e.value
-    | None ->
-        t.misses <- t.misses + 1;
-        None
+  locked t @@ fun () ->
+  match if t.enabled then Hashtbl.find_opt t.entries key else None with
+  | Some e ->
+      t.tick <- t.tick + 1;
+      e.last_used <- t.tick;
+      t.hits <- t.hits + 1;
+      Some e.value
+  | None ->
+      t.misses <- t.misses + 1;
+      None
 
 (** Lookup without touching recency or counters — for callers that
     validate the entry before deciding whether it was really a hit
@@ -89,6 +88,8 @@ let evict_lru t =
       t.on_evict key
   | None -> ()
 
+(** Remember [value] under [key], evicting the least-recently-used entry
+    when the cache is full.  Replacing an existing key never evicts. *)
 let add t key value =
   if t.enabled then
     locked t @@ fun () ->
@@ -126,3 +127,24 @@ let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
 let set_on_evict t f = t.on_evict <- f
+
+(** One cache's counters and bounds — the shape every cache section of
+    [/cachez] and the shell's [:cache stats] prints. *)
+type stats = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  size : int;
+  capacity : int;
+  enabled : bool;
+}
+
+let stats (t : _ t) =
+  {
+    hits = t.hits;
+    misses = t.misses;
+    evictions = t.evictions;
+    size = size t;
+    capacity = t.capacity;
+    enabled = t.enabled;
+  }

@@ -2,14 +2,14 @@
     client-side query runner (§3 of the paper).
 
     A peer owns a versioned {!Database}, a registry of XQuery module
-    sources, a {!Func_cache} of prepared modules, and an {!Isolation}
-    manager for queryID-pinned snapshots.  [handle_raw] is the server side
-    (the paper's "XRPC request handler"); [query] is the client side (the
-    stub code the Pathfinder compiler generates, §3): it runs a local query
-    whose [execute at] calls are dispatched over the configured transport,
-    with Bulk RPC batching, and — for updating queries under repeatable
-    isolation — commits distributed updates with 2PC over the piggybacked
-    participant list (§2.3). *)
+    sources, a {!Plan_cache} of prepared module and query plans, and an
+    {!Isolation} manager for queryID-pinned snapshots.  [handle_raw] is
+    the server side (the paper's "XRPC request handler"); [query] is the
+    client side (the stub code the Pathfinder compiler generates, §3): it
+    runs a local query whose [execute at] calls are dispatched over the
+    configured transport, with Bulk RPC batching, and — for updating
+    queries under repeatable isolation — commits distributed updates with
+    2PC over the piggybacked participant list (§2.3). *)
 
 open Xrpc_xml
 module Message = Xrpc_soap.Message
@@ -81,9 +81,8 @@ type internals = {
   clock : unit -> float;
   lock : Mutex.t;
       (** serializes request handling — the HTTP transport serves each
-          connection on its own thread, and peer state (function cache,
-          isolation tables, database versions) is not otherwise
-          synchronized *)
+          connection on its own thread, and peer state (isolation tables,
+          database versions) is not otherwise synchronized *)
   mutable locked_by : int option;
       (** holder thread id, for reentrant self-calls (a served function may
           [execute at] its own peer) *)
@@ -98,14 +97,14 @@ type internals = {
 type t = {
   uri : string;
   db : Database.t;
-  func_cache : Func_cache.t;
   plan_cache : Plan_cache.t;
-      (** compiled plans for ad-hoc [query] sources, keyed on canonical
-          query text — repeats skip parse + prolog + static check *)
+      (** compiled plans — module plans keyed on module URI, ad-hoc
+          [query] plans on canonical query text; repeats skip parse +
+          prolog + static check *)
   result_cache : Result_cache.t;
       (** memoized answers for read-only remote calls, pinned to the
           per-document version vector; invalidated by commits *)
-  idem_cache : Idem_cache.t;
+  idem_cache : string Lru.t;
       (** responses by idempotency key, so retried/duplicated requests do
           not re-execute updating functions *)
   isolation : Isolation.t;
@@ -126,10 +125,9 @@ let create ?(config = default_config) ?(clock = Unix.gettimeofday) uri =
   {
     uri;
     db = Database.create ~clock ();
-    func_cache = Func_cache.create ();
     plan_cache = Plan_cache.create ~capacity:config.plan_capacity ();
     result_cache = Result_cache.create ~capacity:config.result_capacity ();
-    idem_cache = Idem_cache.create ~capacity:config.idem_capacity ();
+    idem_cache = Lru.create ~capacity:config.idem_capacity ();
     isolation = Isolation.create ~clock ();
     transport = None;
     executor = Executor.sequential;
@@ -200,13 +198,12 @@ let register_module peer ~uri ?location source =
   (match location with
   | Some loc -> Hashtbl.replace peer.internals.locations loc source
   | None -> ());
-  Func_cache.invalidate peer.func_cache uri;
-  (* cached results of calls into this module reflect the old code *)
-  ignore (Result_cache.invalidate_module peer.result_cache uri);
-  (* cached ad-hoc plans may embed functions imported from this module;
-     plans carry no import provenance, so clear wholesale — blunt but
-     correct, and module re-registration is rare *)
-  Plan_cache.clear peer.plan_cache
+  (* any cached plan, and any cached result, may embed this module's code
+     — directly or through an import; neither carries import provenance,
+     so drop them wholesale: blunt but correct, and re-registration is
+     rare *)
+  Plan_cache.clear peer.plan_cache;
+  ignore (Result_cache.invalidate_all peer.result_cache)
 
 let module_resolver peer : Runner.module_resolver =
  fun ~uri ~location ->
@@ -429,14 +426,26 @@ let make_context ?deps ?remote_dep peer ~version ~query_id ~peers_acc : Xctx.t =
 (* Server side: the XRPC request handler                               *)
 (* ------------------------------------------------------------------ *)
 
-let compile_module peer ~uri ~location : Func_cache.compiled =
-  Func_cache.compile peer.func_cache ~uri ~load:(fun () ->
-      let source = module_resolver peer ~uri ~location in
-      let prog = Xrpc_xquery.Parser.parse_prog source in
-      let ctx = Xctx.empty () in
-      let ctx = Runner.load_prolog ctx ~resolver:(module_resolver peer) prog in
-      Xrpc_xquery.Check.check_prog_exn ctx prog;
-      { Func_cache.prog; funcs = ctx.Xctx.funcs })
+(* The static (cacheable) half of compilation: prolog pass 1 (imports,
+   functions, options) and the static check of a parsed program.  Global
+   variable binding is prolog pass 2 — database-dependent, re-run per
+   execution by {!Runner.bind_globals} — which is what keeps a cached plan
+   coherent with a database that changed under it. *)
+let compile_static peer (prog : Xrpc_xquery.Ast.prog) : Plan_cache.compiled =
+  let cctx = Xctx.empty () in
+  Runner.load_prolog_static cctx ~resolver:(module_resolver peer) prog;
+  Xrpc_xquery.Check.check_prog_exn cctx prog;
+  {
+    Plan_cache.prog;
+    funcs = cctx.Xctx.funcs;
+    options = !(cctx.Xctx.options);
+    imports = !(cctx.Xctx.imports);
+  }
+
+let compile_module peer ~uri ~location : Plan_cache.compiled =
+  Plan_cache.find_or_compile_module peer.plan_cache ~uri ~compile:(fun () ->
+      compile_static peer
+        (Xrpc_xquery.Parser.parse_prog (module_resolver peer ~uri ~location)))
 
 (* Accumulate a named phase's wall cost into [phases] (when the caller
    wants the server-side breakdown); the cost is recorded even when [f]
@@ -574,7 +583,7 @@ let handle_request ?phases peer (r : Message.request) : Message.t =
       make_context ~deps ~remote_dep peer ~version ~query_id:r.Message.query_id
         ~peers_acc
     in
-    let ctx = { ctx with Xctx.funcs = compiled.Func_cache.funcs } in
+    let ctx = { ctx with Xctx.funcs = compiled.Plan_cache.funcs } in
     let fname =
       Qname.make ~uri:r.Message.module_uri r.Message.method_
     in
@@ -645,12 +654,7 @@ let handle_request ?phases peer (r : Message.request) : Message.t =
 (* 2PC participant (WS-AtomicTransaction-style, §2.3) *)
 let handle_tx peer (op : Message.tx_op) (qid : Message.query_id) : Message.t =
   Log.info (fun m ->
-      m "%s: 2PC %s for %s" peer.uri
-        (match op with
-        | Message.Prepare -> "prepare"
-        | Message.Commit -> "commit"
-        | Message.Rollback -> "rollback"
-        | Message.Status -> "status")
+      m "%s: 2PC %s for %s" peer.uri (Message.tx_op_name op)
         (Message.query_id_key qid));
   match op with
   | Message.Prepare -> (
@@ -753,12 +757,7 @@ let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
           (List.length r.Message.calls)
           (if List.length r.Message.calls = 1 then "" else "s")
     | Ok (Message.Tx_request (op, qid)) ->
-        Printf.sprintf "tx:%s %s"
-          (match op with
-          | Message.Prepare -> "prepare"
-          | Message.Commit -> "commit"
-          | Message.Rollback -> "rollback"
-          | Message.Status -> "status")
+        Printf.sprintf "tx:%s %s" (Message.tx_op_name op)
           (Message.query_id_key qid)
     | Ok _ -> "unexpected message kind"
     | Error e -> "unparseable request: " ^ Printexc.to_string e
@@ -774,13 +773,7 @@ let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
   let slo_endpoint =
     match msg with
     | Ok (Message.Request r) -> r.Message.module_uri ^ ":" ^ r.Message.method_
-    | Ok (Message.Tx_request (op, _)) ->
-        "tx:"
-        ^ (match op with
-          | Message.Prepare -> "prepare"
-          | Message.Commit -> "commit"
-          | Message.Rollback -> "rollback"
-          | Message.Status -> "status")
+    | Ok (Message.Tx_request (op, _)) -> "tx:" ^ Message.tx_op_name op
     | Ok _ | Error _ -> "malformed"
   in
   let record_slo ~error =
@@ -812,7 +805,7 @@ let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
   in
   match
     match idem_key with
-    | Some k -> Idem_cache.find peer.idem_cache k
+    | Some k -> Lru.find peer.idem_cache k
     | None -> None
   with
   | Some cached ->
@@ -875,7 +868,7 @@ let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
      so a retry may legitimately re-execute it *)
   (match (idem_key, reply) with
   | Some k, (Message.Response _ | Message.Tx_response _) ->
-      Idem_cache.add peer.idem_cache k
+      Lru.add peer.idem_cache k
         (Buffer.sub out start (Buffer.length out - start))
   | _ -> ());
   let elapsed = (Unix.gettimeofday () -. t0) *. 1000. in
@@ -932,35 +925,18 @@ let query_label source =
   if String.length trimmed <= 120 then trimmed
   else String.sub trimmed 0 117 ^ "..."
 
-(* The static (cacheable) half of ad-hoc query compilation: parse, prolog
-   pass 1 (imports, functions, options), static check.  Global variable
-   binding is prolog pass 2 — database-dependent, re-run per execution by
-   {!Runner.bind_globals} — which is what keeps a cached plan coherent
-   with a database that changed under it. *)
-let compile_static peer (source : string) : Plan_cache.compiled =
-  let prog =
-    Trace.with_span "client.parse" @@ fun () ->
-    Xrpc_xquery.Parser.parse_prog source
-  in
-  let cctx = Xctx.empty () in
-  Runner.load_prolog_static cctx ~resolver:(module_resolver peer) prog;
-  Xrpc_xquery.Check.check_prog_exn cctx prog;
-  {
-    Plan_cache.prog;
-    funcs = cctx.Xctx.funcs;
-    options = !(cctx.Xctx.options);
-    imports = !(cctx.Xctx.imports);
-  }
+(* the ad-hoc plan for [source], and whether the plan cache had it *)
+let compile_query peer (source : string) : Plan_cache.compiled * bool =
+  Plan_cache.find_or_compile peer.plan_cache source ~compile:(fun () ->
+      compile_static peer
+        (Trace.with_span "client.parse" @@ fun () ->
+         Xrpc_xquery.Parser.parse_prog source))
 
 (** The compiled plan for [source], through the plan cache: an
     explain-then-run pair compiles once.  This is what introspection
     surfaces ([:explain]) must use instead of re-parsing. *)
 let compiled_plan peer (source : string) : Plan_cache.compiled =
-  let compiled, _hit =
-    Plan_cache.find_or_compile peer.plan_cache source ~compile:(fun () ->
-        compile_static peer source)
-  in
-  compiled
+  fst (compile_query peer source)
 
 let query peer (source : string) : query_result =
   Metrics.incr m_queries;
@@ -975,9 +951,7 @@ let query peer (source : string) : query_result =
   match
     Trace.with_span ~detail:peer.uri "query" @@ fun () ->
   let compiled, plan_hit =
-    Trace.with_span "client.compile" @@ fun () ->
-    Plan_cache.find_or_compile peer.plan_cache source ~compile:(fun () ->
-        compile_static peer source)
+    Trace.with_span "client.compile" @@ fun () -> compile_query peer source
   in
   if plan_hit then begin
     Trace.event ~detail:(query_label source) "plan-cache-hit";
@@ -1123,45 +1097,69 @@ type cache_stats = {
 }
 
 let cache_stats peer =
+  let f = Plan_cache.module_stats peer.plan_cache in
+  let i = Lru.stats peer.idem_cache in
   {
     plan = Plan_cache.stats peer.plan_cache;
     result = Result_cache.stats peer.result_cache;
-    func_hits = peer.func_cache.Func_cache.hits;
-    func_misses = peer.func_cache.Func_cache.misses;
-    func_evictions = peer.func_cache.Func_cache.evictions;
-    func_size = Func_cache.size peer.func_cache;
-    idem_hits = Idem_cache.hits peer.idem_cache;
-    idem_misses = Idem_cache.misses peer.idem_cache;
-    idem_evictions = Idem_cache.evictions peer.idem_cache;
-    idem_size = Idem_cache.size peer.idem_cache;
+    func_hits = f.Lru.hits;
+    func_misses = f.Lru.misses;
+    func_evictions = f.Lru.evictions;
+    func_size = f.Lru.size;
+    idem_hits = i.Lru.hits;
+    idem_misses = i.Lru.misses;
+    idem_evictions = i.Lru.evictions;
+    idem_size = i.Lru.size;
   }
 
 let set_plan_caching peer on = Plan_cache.set_enabled peer.plan_cache on
 let set_result_caching peer on = Result_cache.set_enabled peer.result_cache on
 
-(** Drop every performance cache (plan, result, module).  The idempotency
-    cache is deliberately kept: it is a correctness mechanism
-    (exactly-once updates), not a performance one. *)
+(** Drop every performance cache (plan, result).  The idempotency cache
+    is deliberately kept: it is a correctness mechanism (exactly-once
+    updates), not a performance one. *)
 let clear_caches peer =
   Plan_cache.clear peer.plan_cache;
-  Result_cache.clear peer.result_cache;
-  Func_cache.clear peer.func_cache
+  Result_cache.clear peer.result_cache
+
+(* one cache's fields in print order; values are JSON literals *)
+let cache_fields ?(extra = []) (s : Lru.stats) =
+  [ ("hits", string_of_int s.Lru.hits); ("misses", string_of_int s.Lru.misses) ]
+  @ List.map (fun (k, v) -> (k, string_of_int v)) extra
+  @ [
+      ("evictions", string_of_int s.Lru.evictions);
+      ("size", string_of_int s.Lru.size);
+      ("capacity", string_of_int s.Lru.capacity);
+      ("enabled", string_of_bool s.Lru.enabled);
+    ]
+
+(** Every cache's counters as named sections — the one source of
+    [/cachez], [/cachez.json] and the shell's [:cache stats]. *)
+let cache_sections peer =
+  let r = Result_cache.stats peer.result_cache in
+  [
+    ("plan_cache", cache_fields (Plan_cache.stats peer.plan_cache));
+    ( "result_cache",
+      cache_fields
+        ~extra:
+          [ ("stale", r.Result_cache.stale);
+            ("invalidations", r.Result_cache.invalidations) ]
+        {
+          (Lru.stats peer.result_cache.Result_cache.lru) with
+          Lru.hits = r.Result_cache.hits;
+          misses = r.Result_cache.misses;
+        } );
+    ("func_cache", cache_fields (Plan_cache.module_stats peer.plan_cache));
+    ("idem_cache", cache_fields (Lru.stats peer.idem_cache));
+  ]
 
 (** Human-readable stats block — what [/cachez] and the shell's [:cache
     stats] print. *)
 let cache_stats_text peer =
-  let s = cache_stats peer in
-  let p = s.plan and r = s.result in
-  Printf.sprintf
-    "plan_cache:   hits=%d misses=%d evictions=%d size=%d/%d enabled=%b\n\
-     result_cache: hits=%d misses=%d stale=%d invalidations=%d evictions=%d \
-     size=%d/%d enabled=%b\n\
-     func_cache:   hits=%d misses=%d evictions=%d size=%d\n\
-     idem_cache:   hits=%d misses=%d evictions=%d size=%d"
-    p.Plan_cache.hits p.Plan_cache.misses p.Plan_cache.evictions
-    p.Plan_cache.size p.Plan_cache.capacity p.Plan_cache.enabled
-    r.Result_cache.hits r.Result_cache.misses r.Result_cache.stale
-    r.Result_cache.invalidations r.Result_cache.evictions r.Result_cache.size
-    r.Result_cache.capacity r.Result_cache.enabled s.func_hits s.func_misses
-    s.func_evictions s.func_size s.idem_hits s.idem_misses s.idem_evictions
-    s.idem_size
+  String.concat "\n"
+    (List.map
+       (fun (name, fields) ->
+         Printf.sprintf "%-13s %s" (name ^ ":")
+           (String.concat " "
+              (List.map (fun (k, v) -> k ^ "=" ^ v) fields)))
+       (cache_sections peer))

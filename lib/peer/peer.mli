@@ -2,14 +2,14 @@
     client-side query runner (§3 of the paper).
 
     A peer owns a versioned {!Database}, a registry of XQuery module
-    sources, a {!Func_cache} of prepared modules, and an {!Isolation}
-    manager for queryID-pinned snapshots.  [handle_raw] is the server side
-    (the paper's "XRPC request handler"); [query] is the client side (the
-    stub code the Pathfinder compiler generates, §3): it runs a local query
-    whose [execute at] calls are dispatched over the configured transport,
-    with Bulk RPC batching, and — for updating queries under repeatable
-    isolation — commits distributed updates with 2PC over the piggybacked
-    participant list (§2.3).
+    sources, a {!Plan_cache} of prepared module and query plans, and an
+    {!Isolation} manager for queryID-pinned snapshots.  [handle_raw] is
+    the server side (the paper's "XRPC request handler"); [query] is the
+    client side (the stub code the Pathfinder compiler generates, §3): it
+    runs a local query whose [execute at] calls are dispatched over the
+    configured transport, with Bulk RPC batching, and — for updating
+    queries under repeatable isolation — commits distributed updates with
+    2PC over the piggybacked participant list (§2.3).
 
     [handle_raw] is thread-safe (the keep-alive HTTP server serves each
     connection on its own thread): request handling is serialized under an
@@ -42,14 +42,14 @@ type internals
 type t = {
   uri : string;
   db : Database.t;
-  func_cache : Func_cache.t;
   plan_cache : Plan_cache.t;
-      (** compiled plans for ad-hoc [query] sources, keyed on canonical
-          query text — repeats skip parse + prolog + static check *)
+      (** compiled plans — module plans keyed on module URI, ad-hoc
+          [query] plans on canonical query text; repeats skip parse +
+          prolog + static check *)
   result_cache : Result_cache.t;
       (** memoized answers for read-only remote calls, pinned to the
           per-document version vector; invalidated by commits *)
-  idem_cache : Idem_cache.t;
+  idem_cache : string Lru.t;
       (** responses by idempotency key, so retried/duplicated requests do
           not re-execute updating functions *)
   isolation : Isolation.t;
@@ -103,7 +103,10 @@ val shard_json : ?keys:string list -> t -> string
 val register_module : t -> uri:string -> ?location:string -> string -> unit
 (** Register an XQuery module source under its namespace URI and
     (optionally) an at-hint location, so that both [import module ... at]
-    forms and incoming XRPC requests can find it. *)
+    forms and incoming XRPC requests can find it.  Every cached plan and
+    every cached result is dropped (counted as result-cache
+    invalidations): any of them may depend on the module, directly or
+    through an import. *)
 
 val module_resolver : t -> Xrpc_xquery.Runner.module_resolver
 
@@ -175,20 +178,29 @@ type cache_stats = {
 }
 
 val cache_stats : t -> cache_stats
-(** Aggregated counters across all four caches (plan, result, module
-    plan, idempotency). *)
+(** Aggregated counters across all four caches (ad-hoc plan, result,
+    module plan, idempotency). *)
 
 val set_plan_caching : t -> bool -> unit
-(** Toggle the compiled-plan cache; disabled, every [query] recompiles. *)
+(** Toggle the compiled-plan cache, module and ad-hoc plans alike;
+    disabled, every [query] and every served request recompiles. *)
 
 val set_result_caching : t -> bool -> unit
 (** Toggle the semantic result cache; disabled, every incoming call
     executes. *)
 
 val clear_caches : t -> unit
-(** Drop every performance cache (plan, result, module).  The idempotency
+(** Drop every performance cache (plan, result).  The idempotency
     cache is kept — it is a correctness mechanism (exactly-once updates),
     not a performance one. *)
+
+val cache_sections : t -> (string * (string * string) list) list
+(** Every cache's counters as [(section, [(field, value)])] in print
+    order, values rendered as JSON literals: sections [plan_cache],
+    [result_cache], [func_cache] (module plans) and [idem_cache], each
+    with [hits], [misses], [evictions], [size], [capacity] and [enabled]
+    ([result_cache] adds [stale] and [invalidations]).  The one source of
+    {!cache_stats_text} and [/cachez.json]. *)
 
 val cache_stats_text : t -> string
 (** Human-readable stats block — what [/cachez] and the shell's

@@ -72,11 +72,10 @@ let create ?(enabled = true) ?(capacity = 512) () =
 (* Keys                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The key embeds the module URI first, NUL-separated, so module
-   re-registration can invalidate by prefix; arguments are canonicalized
-   through the SOAP sequence marshalling (typed atomics, structural
-   nodes), so two calls with structurally equal arguments share a key
-   however they were produced. *)
+(* The key is the call signature, NUL-separated from the arguments,
+   which are canonicalized through the SOAP sequence marshalling (typed
+   atomics, structural nodes), so two calls with structurally equal
+   arguments share a key however they were produced. *)
 let key ~module_uri ~fn ~arity ~(calls : Xdm.sequence list list) =
   let buf = Buffer.create 128 in
   Buffer.add_string buf module_uri;
@@ -94,8 +93,6 @@ let key ~module_uri ~fn ~arity ~(calls : Xdm.sequence list list) =
         params)
     calls;
   Buffer.contents buf
-
-let module_prefix module_uri = module_uri ^ "\000"
 
 (* ------------------------------------------------------------------ *)
 (* Lookup / store                                                      *)
@@ -133,33 +130,24 @@ let add t ~key ~deps results =
 (* Invalidation                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Evict every entry depending on one of [docs] (the commit hook);
-    returns how many were evicted. *)
-let invalidate_docs t docs =
-  let n =
-    Lru.remove_if t.lru (fun _ e ->
-        List.exists (fun (d, _) -> List.mem d docs) e.deps)
-  in
+(* Drop the entries satisfying [p], counted as invalidations. *)
+let invalidate t p =
+  let n = Lru.remove_if t.lru p in
   if n > 0 then begin
     t.invalidations <- t.invalidations + n;
     Metrics.incr_by m_invalidations n
   end;
   n
 
-(** Evict every entry for calls into [module_uri] (module re-registration
-    changed the code behind them). *)
-let invalidate_module t module_uri =
-  let prefix = module_prefix module_uri in
-  let plen = String.length prefix in
-  let n =
-    Lru.remove_if t.lru (fun k _ ->
-        String.length k >= plen && String.sub k 0 plen = prefix)
-  in
-  if n > 0 then begin
-    t.invalidations <- t.invalidations + n;
-    Metrics.incr_by m_invalidations n
-  end;
-  n
+(** Evict every entry depending on one of [docs] (the commit hook);
+    returns how many were evicted. *)
+let invalidate_docs t docs =
+  invalidate t (fun _ e -> List.exists (fun (d, _) -> List.mem d docs) e.deps)
+
+(** Evict every entry (module re-registration: the code behind any cached
+    call may have changed, directly or through an import); returns how
+    many were evicted. *)
+let invalidate_all t = invalidate t (fun _ _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection / control                                             *)
@@ -168,7 +156,6 @@ let invalidate_module t module_uri =
 let clear t = Lru.clear t.lru
 let set_enabled t b = Lru.set_enabled t.lru b
 let enabled t = Lru.enabled t.lru
-let size t = Lru.size t.lru
 
 let stats (t : t) : stats =
   {

@@ -73,6 +73,13 @@ type tx_op =
           decision asks the coordinator for the outcome (presumed abort:
           an unknown transaction means "aborted") *)
 
+(** The wire name of a 2PC operation ([operation] attribute). *)
+let tx_op_name = function
+  | Prepare -> "prepare"
+  | Commit -> "commit"
+  | Rollback -> "rollback"
+  | Status -> "status"
+
 type t =
   | Request of request
   | Response of response
@@ -235,12 +242,7 @@ let to_buffer ?trace ?server_profile buf m =
       add buf "</env:Text></env:Reason></env:Fault>"
   | Tx_request (op, q) ->
       add buf "<xrpc:transaction";
-      add_attr buf "operation"
-        (match op with
-        | Prepare -> "prepare"
-        | Commit -> "commit"
-        | Rollback -> "rollback"
-        | Status -> "status");
+      add_attr buf "operation" (tx_op_name op);
       add buf ">";
       write_query_id buf q;
       add buf "</xrpc:transaction>"

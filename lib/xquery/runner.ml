@@ -14,69 +14,13 @@ let err fmt = Printf.ksprintf (fun s -> raise (Module_error s)) fmt
 
 type module_resolver = uri:string -> location:string -> string
 
-(** [load_prolog ctx ~resolver prog] processes a parsed program's prolog:
-    registers functions, loads imported modules (recursively), binds global
-    variables, and records [declare option] values.  Returns the extended
-    context. *)
-let rec load_prolog (ctx : Context.t) ~(resolver : module_resolver)
-    ?(visited = ref []) (prog : Ast.prog) : Context.t =
-  let module_uri, location =
-    match prog.Ast.module_decl with
-    | Some (_pfx, uri) -> (uri, "")
-    | None -> ("", "")
-  in
-  (* pass 1: imports and functions (so bodies can call forward/recursively) *)
-  List.iter
-    (fun decl ->
-      match decl with
-      | Ast.P_import_module (_pfx, uri, at) ->
-          let at = Option.value ~default:"" at in
-          ctx.Context.imports := (uri, at) :: !(ctx.Context.imports);
-          if not (List.mem uri !visited) then (
-            visited := uri :: !visited;
-            let source = resolver ~uri ~location:at in
-            let sub = Parser.parse_prog source in
-            (match sub.Ast.module_decl with
-            | Some (_, sub_uri) when sub_uri <> uri ->
-                err "module at %s declares namespace %s, expected %s" at
-                  sub_uri uri
-            | Some _ -> ()
-            | None -> err "imported %s is not a library module" uri);
-            let ctx' = load_prolog ctx ~resolver ~visited sub in
-            (* module-level variable bindings flow into the importer *)
-            ignore ctx')
-      | Ast.P_function f ->
-          let location =
-            if location <> "" then location
-            else
-              match
-                List.assoc_opt f.Ast.fn_name.Qname.uri !(ctx.Context.imports)
-              with
-              | Some at -> at
-              | None -> ""
-          in
-          let module_uri =
-            if module_uri <> "" then module_uri else f.Ast.fn_name.Qname.uri
-          in
-          Context.register_function ctx ~module_uri ~location f
-      | Ast.P_option (q, v) -> Context.set_option ctx q v
-      | _ -> ())
-    prog.Ast.prolog;
-  (* pass 2: global variables, in declaration order *)
-  List.fold_left
-    (fun ctx decl ->
-      match decl with
-      | Ast.P_var (v, e) -> Context.bind_var ctx v (Eval.eval ctx e)
-      | _ -> ctx)
-    ctx prog.Ast.prolog
-
-(** Pass 1 only — imports (recursively), function registration and
+(** Prolog pass 1 — imports (recursively), function registration and
     [declare option] values, all of which mutate [ctx] in place and depend
     only on the source text and the module registry.  Nothing is
     evaluated, so the result is what a plan cache may keep; the variable
     bindings of pass 2 ({!bind_globals}) are database-dependent and must
-    re-run per execution.  Imported modules' own global variables are not
-    bound — matching {!load_prolog}, which evaluates and discards them. *)
+    re-run per execution.  Imported modules' own global variables are
+    never bound. *)
 let rec load_prolog_static (ctx : Context.t) ~(resolver : module_resolver)
     ?(visited = ref []) (prog : Ast.prog) : unit =
   let module_uri, location =
@@ -130,6 +74,14 @@ let bind_globals (ctx : Context.t) (prog : Ast.prog) : Context.t =
       | Ast.P_var (v, e) -> Context.bind_var ctx v (Eval.eval ctx e)
       | _ -> ctx)
     ctx prog.Ast.prolog
+
+(** [load_prolog ctx ~resolver prog] processes a parsed program's prolog:
+    pass 1 ({!load_prolog_static}), then pass 2 ({!bind_globals}).
+    Returns the extended context. *)
+let load_prolog (ctx : Context.t) ~(resolver : module_resolver)
+    (prog : Ast.prog) : Context.t =
+  load_prolog_static ctx ~resolver prog;
+  bind_globals ctx prog
 
 (** Check whether a program's body contains any updating expression or call
     to a declared updating function — used by peers to classify queries. *)

@@ -1,10 +1,13 @@
-(* Two-level caching suite (plan cache + semantic result cache).
+(* Caching suite: the one LRU, the plan cache (module and ad-hoc plans)
+   and the semantic result cache.
 
    Covers: canonical-key normalization (whitespace/comment insensitivity,
    literal-kind tagging, the direct-constructor raw fallback), the bounded
-   LRU primitive, plan-cache reuse at a peer (same answer, fresh global
-   bindings, module re-registration invalidates), and the semantic result
-   cache across a simulated cluster: version-vector invalidation on
+   LRU primitive (recency, eviction order at capacity, replace-no-evict),
+   plan-cache reuse at a peer (same answer, fresh global bindings, module
+   re-registration invalidates, module plans served to XRPC requests),
+   and the semantic result cache across a simulated cluster: importers
+   see a re-registered module, version-vector invalidation on
    committed updates, precision (an update to one document keeps entries
    that depend only on another), the deterministic aborted-2PC schedule
    (presumed abort must NOT invalidate — and the later committed rerun
@@ -217,6 +220,35 @@ let test_lru_remove_if_multi () =
   check int_ "second pass finds nothing" 0
     (Lru.remove_if lru (fun _ v -> v mod 2 = 0))
 
+let test_lru_eviction_order () =
+  let c = Lru.create ~capacity:3 () in
+  Lru.add c "k1" "r1";
+  Lru.add c "k2" "r2";
+  Lru.add c "k3" "r3";
+  check int_ "at capacity" 3 (Lru.size c);
+  (* touch k1: k2 becomes the least recently used *)
+  check bool_ "k1 hit" true (Lru.find c "k1" = Some "r1");
+  Lru.add c "k4" "r4";
+  check int_ "still at capacity" 3 (Lru.size c);
+  check int_ "one eviction" 1 (Lru.evictions c);
+  check bool_ "LRU key k2 evicted" true (Lru.find c "k2" = None);
+  check bool_ "k1 survived (recently used)" true
+    (Lru.find c "k1" = Some "r1");
+  check bool_ "k3 survived" true (Lru.find c "k3" = Some "r3");
+  check bool_ "k4 present" true (Lru.find c "k4" = Some "r4")
+
+let test_lru_replace_at_capacity () =
+  let c = Lru.create ~capacity:2 () in
+  Lru.add c "k1" "r1";
+  Lru.add c "k2" "r2";
+  (* replacing a key that is already cached must not evict anything,
+     even with the cache exactly full *)
+  Lru.add c "k1" "r1'";
+  check int_ "no growth" 2 (Lru.size c);
+  check int_ "no eviction" 0 (Lru.evictions c);
+  check bool_ "replaced value served" true (Lru.find c "k1" = Some "r1'");
+  check bool_ "other key untouched" true (Lru.find c "k2" = Some "r2")
+
 (* ------------------------------------------------------------------ *)
 (* Plan cache at a peer                                                *)
 (* ------------------------------------------------------------------ *)
@@ -282,6 +314,67 @@ let test_explain_compiles_once () =
   (* a reformatted spelling of the same query reuses the plan too *)
   ignore (Peer.compiled_plan peer "for  $v in (1 to 3) (: same :)\nreturn $v + 1");
   check int_ "reformatted explain is a hit" 2 (plan_stats peer).Plan_cache.hits
+
+(* Module plans (§3.3): what an incoming XRPC request executes *)
+
+(* a standalone peer serving the film database *)
+let film_peer () =
+  let peer = Peer.create "xrpc://y.example.org" in
+  Filmdb.install peer ();
+  peer
+
+let film_request () =
+  {
+    Message.module_uri = "films";
+    location = Filmdb.module_at;
+    method_ = "filmsByActor";
+    arity = 1;
+    updating = false;
+    fragments = false;
+    query_id = None;
+    idem_key = None;
+    cache_ok = true;
+    calls = [ [ [ Xdm.str "Sean Connery" ] ] ];
+  }
+
+let handle peer req =
+  Message.of_string (Peer.handle_raw peer (Message.to_string (Message.Request req)))
+
+let test_module_plan_hits () =
+  let peer = film_peer () in
+  (* pin the test to the module-plan cache: with result caching on, the
+     repeats are answered above it and never reach the compile path *)
+  Peer.set_result_caching peer false;
+  ignore (handle peer (film_request ()));
+  ignore (handle peer (film_request ()));
+  ignore (handle peer (film_request ()));
+  check int_ "one miss" 1 (Peer.cache_stats peer).Peer.func_misses;
+  check int_ "two hits" 2 (Peer.cache_stats peer).Peer.func_hits
+
+let test_module_plan_disabled () =
+  let peer = film_peer () in
+  Peer.set_result_caching peer false;
+  Peer.set_plan_caching peer false;
+  ignore (handle peer (film_request ()));
+  ignore (handle peer (film_request ()));
+  check int_ "two misses" 2 (Peer.cache_stats peer).Peer.func_misses
+
+let test_module_plan_compile_hook () =
+  let peer = film_peer () in
+  Peer.set_result_caching peer false;
+  let compiles = ref 0 in
+  peer.Peer.plan_cache.Plan_cache.on_compile <- (fun _ -> incr compiles);
+  ignore (handle peer (film_request ()));
+  ignore (handle peer (film_request ()));
+  check int_ "hook fired once" 1 !compiles
+
+let test_module_plan_invalidated_on_module_update () =
+  let peer = film_peer () in
+  ignore (handle peer (film_request ()));
+  Peer.register_module peer ~uri:Filmdb.module_ns ~location:Filmdb.module_at
+    Filmdb.film_module;
+  ignore (handle peer (film_request ()));
+  check int_ "recompiled" 2 (Peer.cache_stats peer).Peer.func_misses
 
 (* ------------------------------------------------------------------ *)
 (* Result cache across a cluster                                       *)
@@ -377,6 +470,60 @@ declare updating function m:wa()
   check int_ "b repeat still hits" (hits0 + 1) (result_stats y).Result_cache.hits;
   check string_ "a repeat re-executes and sees the update" "<a>1<x/></a>"
     (Xdm.to_display (call "ra"))
+
+(* Module plans must follow import edges: re-registering [b] changes the
+   code behind [a:g()], which calls [b:f()] — both the module plan of [a]
+   and any cached [a:g()] result are stale.  Checked with the result
+   cache on and off. *)
+let test_importer_sees_reregistered_module () =
+  let b_module n =
+    Printf.sprintf
+      {|module namespace b = "b";
+declare function b:f() as xs:integer { %d };|}
+      n
+  in
+  let a_module =
+    {|module namespace a = "a";
+import module namespace b = "b" at "b.xq";
+declare function a:g() as xs:integer { b:f() };|}
+  in
+  let call_g peer =
+    let req =
+      {
+        Message.module_uri = "a";
+        location = "a.xq";
+        method_ = "g";
+        arity = 0;
+        updating = false;
+        fragments = false;
+        query_id = None;
+        idem_key = None;
+        cache_ok = true;
+        calls = [ [] ];
+      }
+    in
+    match handle peer req with
+    | Message.Response { results = [ r ]; _ } -> Xdm.to_display r
+    | Message.Fault f -> Alcotest.failf "a:g() faulted: %s" f.Message.reason
+    | _ -> Alcotest.fail "a:g(): unexpected reply"
+  in
+  List.iter
+    (fun result_caching ->
+      let what =
+        if result_caching then "result cache on" else "result cache off"
+      in
+      let peer = Peer.create "xrpc://plan.local" in
+      Peer.set_result_caching peer result_caching;
+      Peer.register_module peer ~uri:"b" ~location:"b.xq" (b_module 1);
+      Peer.register_module peer ~uri:"a" ~location:"a.xq" a_module;
+      check string_ (what ^ ": v1 answer") "1" (call_g peer);
+      check string_ (what ^ ": v1 repeat") "1" (call_g peer);
+      Peer.register_module peer ~uri:"b" ~location:"b.xq" (b_module 2);
+      check string_ (what ^ ": importer sees the new b") "2" (call_g peer);
+      if result_caching then
+        check int_ (what ^ ": the stale a:g() result was invalidated") 1
+          (result_stats peer).Result_cache.invalidations)
+    [ true; false ]
 
 let test_aborted_2pc_does_not_invalidate () =
   (* deterministic presumed-abort schedule: a prepared blocker at y makes
@@ -653,6 +800,10 @@ let () =
             test_lru_evict_hook_order;
           Alcotest.test_case "remove_if mid-scan" `Quick
             test_lru_remove_if_multi;
+          Alcotest.test_case "eviction order at capacity" `Quick
+            test_lru_eviction_order;
+          Alcotest.test_case "replacement does not evict" `Quick
+            test_lru_replace_at_capacity;
         ] );
       ( "plan-cache",
         [
@@ -664,6 +815,12 @@ let () =
             test_plan_cache_module_invalidation;
           Alcotest.test_case "explain compiles once" `Quick
             test_explain_compiles_once;
+          Alcotest.test_case "module hits" `Quick test_module_plan_hits;
+          Alcotest.test_case "module disabled" `Quick test_module_plan_disabled;
+          Alcotest.test_case "module compile hook" `Quick
+            test_module_plan_compile_hook;
+          Alcotest.test_case "module invalidation" `Quick
+            test_module_plan_invalidated_on_module_update;
         ] );
       ( "result-cache",
         [
@@ -681,6 +838,8 @@ let () =
           Alcotest.test_case "warm repeat: zero exec phases" `Quick
             test_warm_repeat_runs_zero_exec_phases;
           Alcotest.test_case "trace events" `Quick test_trace_events;
+          Alcotest.test_case "importer sees re-registered module" `Quick
+            test_importer_sees_reregistered_module;
         ] );
       ( "chaos",
         [

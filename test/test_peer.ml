@@ -1,13 +1,13 @@
-(* Tests for the peer engine: request handling, bulk calls, the function
-   cache, queryID isolation (pin / expiry / late requests), the bulk
-   hash-join optimizer, and the 2PC participant. *)
+(* Tests for the peer engine: request handling, bulk calls, queryID
+   isolation (pin / expiry / late requests), the bulk hash-join optimizer,
+   and the 2PC participant.  The module-plan cache is tested with the
+   other caches in test_cache. *)
 
 open Xrpc_xml
 module Message = Xrpc_soap.Message
 module Peer = Xrpc_peer.Peer
 module Database = Xrpc_peer.Database
 module Isolation = Xrpc_peer.Isolation
-module Func_cache = Xrpc_peer.Func_cache
 module Filmdb = Xrpc_workloads.Filmdb
 
 let check = Alcotest.check
@@ -101,44 +101,6 @@ let test_malformed_message_fault () =
   match Message.of_string (Peer.handle_raw peer "this is not xml") with
   | Message.Fault _ -> ()
   | _ -> Alcotest.fail "expected fault"
-
-(* ---- function cache (§3.3) ---- *)
-
-let test_func_cache_hits () =
-  let peer, _ = make_peer () in
-  (* pin the test to the module-plan cache: with result caching on, the
-     repeats are answered above it and never reach the compile path *)
-  Peer.set_result_caching peer false;
-  ignore (handle peer (film_request ()));
-  ignore (handle peer (film_request ()));
-  ignore (handle peer (film_request ()));
-  check int_ "one miss" 1 peer.Peer.func_cache.Func_cache.misses;
-  check int_ "two hits" 2 peer.Peer.func_cache.Func_cache.hits
-
-let test_func_cache_disabled () =
-  let peer, _ = make_peer () in
-  Peer.set_result_caching peer false;
-  peer.Peer.func_cache.Func_cache.enabled <- false;
-  ignore (handle peer (film_request ()));
-  ignore (handle peer (film_request ()));
-  check int_ "two misses" 2 peer.Peer.func_cache.Func_cache.misses
-
-let test_func_cache_on_compile_hook () =
-  let peer, _ = make_peer () in
-  Peer.set_result_caching peer false;
-  let compiles = ref 0 in
-  peer.Peer.func_cache.Func_cache.on_compile <- (fun _ -> incr compiles);
-  ignore (handle peer (film_request ()));
-  ignore (handle peer (film_request ()));
-  check int_ "hook fired once" 1 !compiles
-
-let test_func_cache_invalidated_on_module_update () =
-  let peer, _ = make_peer () in
-  ignore (handle peer (film_request ()));
-  Peer.register_module peer ~uri:Filmdb.module_ns ~location:Filmdb.module_at
-    Filmdb.film_module;
-  ignore (handle peer (film_request ()));
-  check int_ "recompiled" 2 peer.Peer.func_cache.Func_cache.misses
 
 (* ---- isolation (§2.2) ---- *)
 
@@ -399,14 +361,6 @@ let () =
             test_runtime_error_becomes_fault;
           Alcotest.test_case "malformed message" `Quick test_malformed_message_fault;
           Alcotest.test_case "getDocument" `Quick test_get_document_internal;
-        ] );
-      ( "function-cache",
-        [
-          Alcotest.test_case "hits" `Quick test_func_cache_hits;
-          Alcotest.test_case "disabled" `Quick test_func_cache_disabled;
-          Alcotest.test_case "compile hook" `Quick test_func_cache_on_compile_hook;
-          Alcotest.test_case "invalidation" `Quick
-            test_func_cache_invalidated_on_module_update;
         ] );
       ( "isolation",
         [

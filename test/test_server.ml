@@ -402,6 +402,66 @@ declare function q:answer() { 42 };|};
       let reply = Http.post ~host:"127.0.0.1" ~port "not a soap envelope" in
       check bool_ "SOAP fault came back" true (contains reply "fault"))
 
+(* /cachez.json is parsed by monitoring scripts and benchmarks: pin its
+   shape — four cache sections, each with numeric hits/misses/evictions
+   — and that a served call shows up in the module-plan section *)
+let test_facade_cachez_json () =
+  let peer = Peer.create "xrpc://127.0.0.1:0" in
+  Peer.register_module peer ~uri:"q"
+    {|module namespace q = "q";
+declare function q:answer() { 42 };|};
+  let server =
+    Server.create ~config:(Server.config ~port:0 ~outgoing:false ()) peer
+  in
+  let port = Server.start server in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let client = Xrpc_core.Xrpc_client.connect_http () in
+      ignore
+        (Xrpc_core.Xrpc_client.call client
+           ~dest:(Printf.sprintf "xrpc://127.0.0.1:%d" port)
+           ~module_uri:"q" ~fn:"answer" []);
+      let fd = connect port in
+      send_all fd (get_req ~close:true "/cachez.json");
+      let status, doc = recv_response fd in
+      Unix.close fd;
+      check string_ "cachez.json ok" "HTTP/1.1 200 OK" status;
+      let find_from i pat =
+        let n = String.length pat in
+        let rec go i =
+          if i + n > String.length doc then None
+          else if String.sub doc i n = pat then Some (i + n)
+          else go (i + 1)
+        in
+        go i
+      in
+      (* the number after ["field":] inside the ["name":{...}] object *)
+      let number name field =
+        match find_from 0 ("\"" ^ name ^ "\":{") with
+        | None -> Alcotest.failf "section %s missing in %s" name doc
+        | Some start -> (
+            let stop = String.index_from doc start '}' in
+            match find_from start ("\"" ^ field ^ "\":") with
+            | Some i when i < stop ->
+                let j = ref i in
+                while !j < stop && doc.[!j] <> ',' do incr j done;
+                (match int_of_string_opt (String.sub doc i (!j - i)) with
+                | Some v -> v
+                | None -> Alcotest.failf "%s.%s is not a number" name field)
+            | _ -> Alcotest.failf "%s.%s missing in %s" name field doc)
+      in
+      List.iter
+        (fun name ->
+          List.iter
+            (fun field ->
+              check bool_ (name ^ "." ^ field ^ " is a count") true
+                (number name field >= 0))
+            [ "hits"; "misses"; "evictions" ])
+        [ "plan_cache"; "result_cache"; "func_cache"; "idem_cache" ];
+      check int_ "the served call compiled one module plan" 1
+        (number "func_cache" "misses"))
+
 let test_facade_thread_baseline () =
   let peer = Peer.create "xrpc://127.0.0.1:0" in
   let server =
@@ -458,6 +518,8 @@ let () =
             test_facade_routes_and_stats;
           Alcotest.test_case "SOAP fallback (streaming)" `Quick
             test_facade_soap_fallback;
+          Alcotest.test_case "/cachez.json shape" `Quick
+            test_facade_cachez_json;
           Alcotest.test_case "thread-per-conn baseline" `Quick
             test_facade_thread_baseline;
         ] );
