@@ -201,7 +201,11 @@ and eval_inner env (e : Xast.expr) : Table.t =
   | Xast.Path (a, b) ->
       (* loop-lifted path step: the step is applied to every (iter, node)
          pair at once; per-iteration results end up in document order with
-         duplicates removed, like any XPath step *)
+         duplicates removed, like any XPath step.  [E//T] becomes
+         [E/descendant::T] under the same rule as in Eval. *)
+      let a, b =
+        Option.value ~default:(a, b) (Xrpc_xquery.Eval.descendant_shortcut a b)
+      in
       let t_in = eval env a in
       eval_step env t_in b
   | Xast.Elem_ctor (name, attr_specs, content) ->
@@ -287,13 +291,11 @@ and eval_inner env (e : Xast.expr) : Table.t =
       Table.of_iter_items rows
   | e -> unsupported "expression in loop-lifted plan: %s" (Xast.expr_to_string e)
 
-(* a path step applied to a table of context nodes *)
+(* a path step applied to a table of context nodes: Eval's step per
+   context node, then one document-order union per iteration *)
 and eval_step env t_in step =
   match step with
   | Xast.Step (axis, test, preds) ->
-      let principal =
-        if axis = Xast.Attribute then `Attribute else `Element
-      in
       let ctx0 =
         { (Xctx.empty ()) with Xctx.doc_resolver = env.doc_resolver }
       in
@@ -301,29 +303,14 @@ and eval_step env t_in step =
       let rows =
         List.concat_map
           (fun iter ->
-            let nodes =
+            let items =
               List.concat_map
-                (fun item ->
-                  match item with
-                  | Xdm.Node n ->
-                      (* predicates see positions within this context
-                         node's axis result, per XPath *)
-                      let candidates =
-                        List.filter
-                          (Xrpc_xquery.Eval.test_matches ~principal test)
-                          (Xrpc_xquery.Eval.axis_nodes axis n)
-                      in
-                      let filtered =
-                        Xrpc_xquery.Eval.apply_predicates ctx0 preds
-                          (List.map (fun n -> Xdm.Node n) candidates)
-                      in
-                      List.map Xdm.node_only filtered
+                (function
+                  | Xdm.Node n -> Xrpc_xquery.Eval.step ctx0 axis test preds n
                   | Xdm.Atomic _ -> unsupported "path step over atomic value")
                 (l_in iter)
             in
-            List.map
-              (fun n -> (iter, Xdm.Node n))
-              (Xdm.doc_order_dedup nodes))
+            List.map (fun item -> (iter, item)) (Xdm.path_result items))
           env.loop
       in
       Table.of_iter_items rows

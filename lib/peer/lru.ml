@@ -1,20 +1,25 @@
-(** Generic bounded LRU table — logical-tick recency, linear-scan
-    eviction, an internal mutex — and the only one: the plan cache (module
-    and ad-hoc plans), the result cache and the idempotency cache all keep
-    their entries here.
+(** Generic bounded LRU table — an intrusive doubly-linked recency list
+    threaded through the entries, an internal mutex — and the only one:
+    the plan cache (module and ad-hoc plans), the result cache and the
+    idempotency cache all keep their entries here.  Lookup, insert,
+    eviction and removal are O(1); only [remove_if] scans.  Relinking
+    allocates nothing, so the long-lived entries gain no young
+    pointers on a hit. *)
 
-    The linear eviction scan is deliberate: at the capacities involved
-    (hundreds to a few thousand entries) it costs microseconds, only runs
-    once the cache is full, and needs no auxiliary ordering structure that
-    every hit would have to maintain. *)
-
-type 'a entry = { value : 'a; mutable last_used : int }
+type 'a entry = {
+  key : string;
+  mutable value : 'a option;  (** [None] only in the sentinel *)
+  mutable newer : 'a entry;  (** towards the most recently used *)
+  mutable older : 'a entry;  (** towards the least recently used *)
+}
 
 type 'a t = {
   mutable enabled : bool;
   capacity : int;
   entries : (string, 'a entry) Hashtbl.t;
-  mutable tick : int;  (** logical time for LRU recency *)
+  ring : 'a entry;
+      (** sentinel of the circular recency list: [ring.older] is the most
+          recently used entry, [ring.newer] the next eviction victim *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -25,11 +30,12 @@ type 'a t = {
 }
 
 let create ?(enabled = true) ?(capacity = 256) () =
+  let rec ring = { key = ""; value = None; newer = ring; older = ring } in
   {
     enabled;
     capacity = max 1 capacity;
     entries = Hashtbl.create 64;
-    tick = 0;
+    ring;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -41,16 +47,33 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+let unlink e =
+  e.newer.older <- e.older;
+  e.older.newer <- e.newer
+
+let push_newest t e =
+  e.older <- t.ring.older;
+  e.newer <- t.ring;
+  t.ring.older.newer <- e;
+  t.ring.older <- e
+
+let refresh t e =
+  unlink e;
+  push_newest t e
+
+let drop t e =
+  unlink e;
+  Hashtbl.remove t.entries e.key
+
 (** Lookup that counts a hit or miss and refreshes recency.  A disabled
     cache misses every lookup, and counts it. *)
 let find t key =
   locked t @@ fun () ->
   match if t.enabled then Hashtbl.find_opt t.entries key else None with
   | Some e ->
-      t.tick <- t.tick + 1;
-      e.last_used <- t.tick;
+      refresh t e;
       t.hits <- t.hits + 1;
-      Some e.value
+      e.value
   | None ->
       t.misses <- t.misses + 1;
       None
@@ -62,48 +85,41 @@ let peek t key =
   if not t.enabled then None
   else
     locked t @@ fun () ->
-    Option.map (fun e -> e.value) (Hashtbl.find_opt t.entries key)
+    Option.bind (Hashtbl.find_opt t.entries key) (fun e -> e.value)
 
 let touch t key =
-  locked t @@ fun () ->
-  match Hashtbl.find_opt t.entries key with
-  | Some e ->
-      t.tick <- t.tick + 1;
-      e.last_used <- t.tick
-  | None -> ()
+  locked t @@ fun () -> Option.iter (refresh t) (Hashtbl.find_opt t.entries key)
 
 let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun key e acc ->
-        match acc with
-        | Some (_, best) when best.last_used <= e.last_used -> acc
-        | _ -> Some (key, e))
-      t.entries None
-  in
-  match victim with
-  | Some (key, _) ->
-      Hashtbl.remove t.entries key;
-      t.evictions <- t.evictions + 1;
-      t.on_evict key
-  | None -> ()
+  let e = t.ring.newer in
+  if e != t.ring then begin
+    drop t e;
+    t.evictions <- t.evictions + 1;
+    t.on_evict e.key
+  end
 
 (** Remember [value] under [key], evicting the least-recently-used entry
     when the cache is full.  Replacing an existing key never evicts. *)
 let add t key value =
   if t.enabled then
     locked t @@ fun () ->
-    if (not (Hashtbl.mem t.entries key)) && Hashtbl.length t.entries >= t.capacity
-    then evict_lru t;
-    t.tick <- t.tick + 1;
-    Hashtbl.replace t.entries key { value; last_used = t.tick }
+    match Hashtbl.find_opt t.entries key with
+    | Some e ->
+        e.value <- Some value;
+        refresh t e
+    | None ->
+        if Hashtbl.length t.entries >= t.capacity then evict_lru t;
+        let e = { key; value = Some value; newer = t.ring; older = t.ring } in
+        Hashtbl.replace t.entries key e;
+        push_newest t e
 
 let remove t key =
   locked t @@ fun () ->
-  if Hashtbl.mem t.entries key then (
-    Hashtbl.remove t.entries key;
-    true)
-  else false
+  match Hashtbl.find_opt t.entries key with
+  | Some e ->
+      drop t e;
+      true
+  | None -> false
 
 (** [remove_if t p] drops every entry satisfying [p key value]; returns
     how many were dropped.  This is the invalidation primitive — these
@@ -112,14 +128,19 @@ let remove_if t p =
   locked t @@ fun () ->
   let victims =
     Hashtbl.fold
-      (fun key e acc -> if p key e.value then key :: acc else acc)
+      (fun _ e acc ->
+        match e.value with Some v when p e.key v -> e :: acc | _ -> acc)
       t.entries []
   in
-  List.iter (Hashtbl.remove t.entries) victims;
+  List.iter (drop t) victims;
   List.length victims
 
 let size t = locked t @@ fun () -> Hashtbl.length t.entries
-let clear t = locked t @@ fun () -> Hashtbl.reset t.entries
+let clear t =
+  locked t @@ fun () ->
+  Hashtbl.reset t.entries;
+  t.ring.newer <- t.ring;
+  t.ring.older <- t.ring
 let set_enabled t b = t.enabled <- b
 let enabled t = t.enabled
 let capacity t = t.capacity

@@ -21,7 +21,7 @@ let ns_env = "http://www.w3.org/2003/05/soap-envelope"
 let ns_xrpc = "http://monetdb.cwi.nl/XQuery"
 let ns_fn = "http://www.w3.org/2005/xpath-functions"
 
-let equal a b = String.equal a.uri b.uri && String.equal a.local b.local
+let equal a b = String.equal a.local b.local && String.equal a.uri b.uri
 
 let compare a b =
   match String.compare a.uri b.uri with

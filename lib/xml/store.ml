@@ -107,46 +107,53 @@ let equal_nodes a b = compare_nodes a b = 0
 
 let is_attr n = kind n = Attr
 
+(* The set-at-a-time axis kernels: one scan of the arrays per context
+   node, keeping the slots whose pre satisfies [keep] and mapping each
+   through [f], in document order.  The list-returning axes below are
+   these kernels with [keep] always true. *)
+
+(** Children of [n] (attributes excluded) that satisfy [keep]. *)
+let children_where n keep f =
+  let s = n.store in
+  let stop = n.pre + s.size.(n.pre) in
+  (* every visited slot is a child or an attribute of [n]: whole child
+     subtrees are skipped *)
+  let[@tail_mod_cons] rec loop pre =
+    if pre > stop then []
+    else
+      let next = pre + s.size.(pre) + 1 in
+      if s.kind.(pre) <> Attr && keep pre then f { n with pre } :: loop next
+      else loop next
+  in
+  loop (n.pre + 1)
+
+(** Descendants of [n] (attributes excluded) that satisfy [keep]. *)
+let descendants_where n keep f =
+  let s = n.store in
+  let stop = n.pre + s.size.(n.pre) in
+  let[@tail_mod_cons] rec loop pre =
+    if pre > stop then []
+    else if s.kind.(pre) <> Attr && keep pre then f { n with pre } :: loop (pre + 1)
+    else loop (pre + 1)
+  in
+  loop (n.pre + 1)
+
+(** Attributes of [n] that satisfy [keep]; they occupy the slots right
+    after their owner element. *)
+let attributes_where n keep f =
+  let s = n.store in
+  let[@tail_mod_cons] rec loop pre =
+    if pre < Array.length s.kind && s.kind.(pre) = Attr && s.parent.(pre) = n.pre
+    then if keep pre then f { n with pre } :: loop (pre + 1) else loop (pre + 1)
+    else []
+  in
+  if kind n = Elem then loop (n.pre + 1) else []
+
 (** Children (non-attribute nodes whose parent is [n]), in document order. *)
-let children n =
-  let s = n.store in
-  let stop = n.pre + s.size.(n.pre) in
-  let rec loop pre acc =
-    if pre > stop then List.rev acc
-    else
-      let acc =
-        if s.parent.(pre) = n.pre && s.kind.(pre) <> Attr then
-          { n with pre } :: acc
-        else acc
-      in
-      (* skip whole subtrees that are not direct children *)
-      let pre' =
-        if s.parent.(pre) = n.pre then pre + s.size.(pre) + 1 else pre + 1
-      in
-      loop pre' acc
-  in
-  loop (n.pre + 1) []
+let children n = children_where n (fun _ -> true) Fun.id
 
-let attributes n =
-  let s = n.store in
-  let rec loop pre acc =
-    if pre < Array.length s.kind && s.kind.(pre) = Attr
-       && s.parent.(pre) = n.pre
-    then loop (pre + 1) ({ n with pre } :: acc)
-    else List.rev acc
-  in
-  if kind n = Elem then loop (n.pre + 1) [] else []
-
-let descendants n =
-  let s = n.store in
-  let stop = n.pre + s.size.(n.pre) in
-  let rec loop pre acc =
-    if pre > stop then List.rev acc
-    else
-      let acc = if s.kind.(pre) <> Attr then { n with pre } :: acc else acc in
-      loop (pre + 1) acc
-  in
-  loop (n.pre + 1) []
+let attributes n = attributes_where n (fun _ -> true) Fun.id
+let descendants n = descendants_where n (fun _ -> true) Fun.id
 
 let descendant_or_self n =
   if kind n = Attr then [ n ] else n :: descendants n

@@ -69,6 +69,26 @@ let doc_order_dedup nodes =
   in
   dedup sorted
 
+(** A path expression's result: nodes in document order without
+    duplicates, or atomic values in evaluation order; mixing the two is
+    XPTY0018.  A sequence of nodes already strictly in document order is
+    returned as is after an O(n) check, without a sort. *)
+let path_result seq =
+  let rec in_order prev = function
+    | [] -> true
+    | Node n :: rest -> Store.compare_nodes prev n < 0 && in_order n rest
+    | Atomic _ :: _ -> false
+  in
+  match seq with
+  | [] -> []
+  | Node n :: rest when in_order n rest -> seq
+  | _ -> (
+      match List.partition (function Node _ -> true | Atomic _ -> false) seq with
+      | nodes, [] ->
+          List.map (fun n -> Node n) (doc_order_dedup (List.map node_only nodes))
+      | [], atomics -> atomics
+      | _ -> dyn_error "XPTY0018: path step mixes nodes and atomic values")
+
 (** Structural deep-equal (ignores node identity), used by tests and
     [fn:deep-equal]. *)
 let rec deep_equal (a : sequence) (b : sequence) =

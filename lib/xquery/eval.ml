@@ -8,7 +8,12 @@
     computed first, destinations are deduplicated (the δ(dst.item) of
     Figure 2), one Bulk RPC request per destination is dispatched (in
     parallel when there are several), and the per-call results are mapped
-    back to their iterations (the mapp tables of Figure 1). *)
+    back to their iterations (the mapp tables of Figure 1).
+
+    Path steps are set-at-a-time as well: one scan of the Store arrays per
+    context node, [//T] as one descendant scan, no sort when the step
+    results are already in document order, and attribute comparisons
+    whose operand is evaluated once per step (the rules of {!step}). *)
 
 open Xrpc_xml
 module Message = Xrpc_soap.Message
@@ -36,62 +41,61 @@ let rpc_estimate_hook :
 (* Node tests and axes                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let kind_matches (k : Ast.kind_test) (n : Store.node) =
-  match (k, Store.kind n) with
-  | Ast.K_node, _ -> true
-  | Ast.K_text, Store.Txt -> true
-  | Ast.K_comment, Store.Comm -> true
-  | Ast.K_document, Store.Doc -> true
-  | Ast.K_pi None, Store.Pi -> true
-  | Ast.K_pi (Some t), Store.Pi -> (
-      match Store.name n with Some q -> q.Qname.local = t | None -> false)
-  | Ast.K_element None, Store.Elem -> true
-  | Ast.K_element (Some q), Store.Elem -> (
-      match Store.name n with Some q' -> Qname.equal q q' | None -> false)
-  | Ast.K_attribute None, Store.Attr -> true
-  | Ast.K_attribute (Some q), Store.Attr -> (
-      match Store.name n with Some q' -> Qname.equal q q' | None -> false)
-  | _ -> false
+(* Node tests are compiled once per step into a test on a preorder rank of
+   a Store, reading its [kind] and [name] arrays.  A name test tries
+   physical equality first, and remembers the last name object that
+   matched and the last that did not: the XML parser interns the names
+   of a document, so after the first slot of each name a test is mostly
+   one pointer comparison. *)
+let name_matcher (q : Qname.t) =
+  let hit = ref q and miss = ref q in
+  function
+  | Some q' when q' == !hit -> true
+  | Some q' when q' == !miss -> false
+  | Some q' when Qname.equal q q' ->
+      hit := q';
+      true
+  | Some q' ->
+      miss := q';
+      false
+  | None -> false
 
-let test_matches ~(principal : [ `Element | `Attribute ]) (t : Ast.node_test)
-    (n : Store.node) =
-  let principal_kind =
-    match (principal, Store.kind n) with
-    | `Element, Store.Elem -> true
-    | `Attribute, Store.Attr -> true
-    | _ -> false
-  in
+let named (s : Store.t) want q =
+  let name_is = name_matcher q in
+  fun pre -> s.Store.kind.(pre) = want && name_is s.Store.name.(pre)
+
+let named_where (s : Store.t) want p pre =
+  s.Store.kind.(pre) = want
+  && match s.Store.name.(pre) with Some q -> p q | None -> false
+
+let of_kind (s : Store.t) want pre = s.Store.kind.(pre) = want
+
+let kind_matcher (k : Ast.kind_test) (s : Store.t) : int -> bool =
+  match k with
+  | Ast.K_node -> fun _ -> true
+  | Ast.K_text -> of_kind s Store.Txt
+  | Ast.K_comment -> of_kind s Store.Comm
+  | Ast.K_document -> of_kind s Store.Doc
+  | Ast.K_pi None -> of_kind s Store.Pi
+  | Ast.K_pi (Some t) -> named_where s Store.Pi (fun q -> q.Qname.local = t)
+  | Ast.K_element None -> of_kind s Store.Elem
+  | Ast.K_element (Some q) -> named s Store.Elem q
+  | Ast.K_attribute None -> of_kind s Store.Attr
+  | Ast.K_attribute (Some q) -> named s Store.Attr q
+
+(** [test_matcher axis t s]: whether the slot at a preorder rank of [s]
+    passes node test [t] on [axis] (whose principal node kind is
+    attribute for the attribute axis, element otherwise). *)
+let test_matcher (axis : Ast.axis) (t : Ast.node_test) (s : Store.t) :
+    int -> bool =
+  let principal = if axis = Ast.Attribute then Store.Attr else Store.Elem in
   match t with
-  | Ast.Kind_test k -> kind_matches k n
-  | Ast.Any_name -> principal_kind
-  | Ast.Name_test q ->
-      principal_kind
-      && (match Store.name n with Some q' -> Qname.equal q q' | None -> false)
-  | Ast.Ns_wildcard uri ->
-      principal_kind
-      && (match Store.name n with Some q' -> q'.Qname.uri = uri | None -> false)
+  | Ast.Kind_test k -> kind_matcher k s
+  | Ast.Any_name -> of_kind s principal
+  | Ast.Name_test q -> named s principal q
+  | Ast.Ns_wildcard uri -> named_where s principal (fun q -> q.Qname.uri = uri)
   | Ast.Local_wildcard local ->
-      principal_kind
-      && (match Store.name n with
-         | Some q' -> q'.Qname.local = local
-         | None -> false)
-
-(** Nodes reached over [axis] from [n], in axis order (reverse axes yield
-    reverse document order, per XPath). *)
-let axis_nodes (axis : Ast.axis) (n : Store.node) =
-  match axis with
-  | Ast.Child -> Store.children n
-  | Ast.Descendant -> Store.descendants n
-  | Ast.Descendant_or_self -> Store.descendant_or_self n
-  | Ast.Self -> [ n ]
-  | Ast.Parent -> ( match Store.parent n with Some p -> [ p ] | None -> [])
-  | Ast.Ancestor -> Store.ancestors n
-  | Ast.Ancestor_or_self -> n :: Store.ancestors n
-  | Ast.Attribute -> Store.attributes n
-  | Ast.Following_sibling -> Store.following_siblings n
-  | Ast.Preceding_sibling -> List.rev (Store.preceding_siblings n)
-  | Ast.Following -> Store.following n
-  | Ast.Preceding -> List.rev (Store.preceding n)
+      named_where s principal (fun q -> q.Qname.local = local)
 
 let is_forward = function
   | Ast.Parent | Ast.Ancestor | Ast.Ancestor_or_self | Ast.Preceding_sibling
@@ -112,8 +116,9 @@ let item_type_matches (it : Ast.item_type) (item : Xdm.item) =
   | Ast.It_pi, Xdm.Node n -> Store.kind n = Store.Pi
   | Ast.It_document, Xdm.Node n -> Store.kind n = Store.Doc
   | Ast.It_element q, Xdm.Node n ->
-      kind_matches (Ast.K_element q) n
-  | Ast.It_attribute q, Xdm.Node n -> kind_matches (Ast.K_attribute q) n
+      kind_matcher (Ast.K_element q) n.Store.store n.Store.pre
+  | Ast.It_attribute q, Xdm.Node n ->
+      kind_matcher (Ast.K_attribute q) n.Store.store n.Store.pre
   | Ast.It_atomic t, Xdm.Atomic a ->
       t = Xs.type_of a
       || (t = Xs.TDecimal && Xs.type_of a = Xs.TInteger)
@@ -137,8 +142,7 @@ let seq_type_matches (st : Ast.seq_type) (seq : Xdm.sequence) =
 (* Comparison                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let value_compare op (a : Xs.t) (b : Xs.t) =
-  let c = Xs.compare_values a b in
+let order_holds op c =
   match op with
   | Ast.V_eq | Ast.G_eq -> c = 0
   | Ast.V_ne | Ast.G_ne -> c <> 0
@@ -147,6 +151,115 @@ let value_compare op (a : Xs.t) (b : Xs.t) =
   | Ast.V_gt | Ast.G_gt -> c > 0
   | Ast.V_ge | Ast.G_ge -> c >= 0
   | _ -> err "not a value comparison"
+
+let value_compare op (a : Xs.t) (b : Xs.t) = order_holds op (Xs.compare_values a b)
+
+(* ------------------------------------------------------------------ *)
+(* Set-at-a-time path rules (DESIGN.md §5.12)                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A predicate that can only filter, never select by position: statically
+   boolean, and calling neither position() nor last() anywhere inside. *)
+let non_positional (p : Ast.expr) =
+  (match p with
+  | Ast.Compare _ | Ast.And _ | Ast.Or _ | Ast.Quantified _ -> true
+  | Ast.Call (q, [ _ ]) -> q.Qname.uri = Qname.ns_fn && q.Qname.local = "not"
+  | _ -> false)
+  && not
+       (Ast.exists_expr
+          (function
+            | Ast.Call (q, []) -> List.mem q.Qname.local [ "position"; "last" ]
+            | _ -> false)
+          p)
+
+(** Rule 1: [E//T[p...]] is [E/descendant::T[p...]] when every predicate
+    is non-positional — each T descendant of E is a T child of exactly
+    one node of E/descendant-or-self::node(), so both select the same
+    nodes.  [//T[1]] keeps its per-parent meaning: not rewritten. *)
+let descendant_shortcut (a : Ast.expr) (b : Ast.expr) =
+  match (a, b) with
+  | ( Ast.Path (e, Ast.Step (Ast.Descendant_or_self, Ast.Kind_test Ast.K_node, [])),
+      Ast.Step (Ast.Child, test, preds) )
+    when List.for_all non_positional preds ->
+      Some (e, Ast.Step (Ast.Descendant, test, preds))
+  | _ -> None
+
+(* Whether [e] reads the focus of the predicate it sits in.  The
+   right-hand side of a path and the predicates of a filter run under a
+   focus of their own. *)
+let rec uses_focus (e : Ast.expr) =
+  match e with
+  | Ast.Context_item | Ast.Root | Ast.Step _ -> true
+  | Ast.Call (q, []) ->
+      List.mem q.Qname.local [ "position"; "last"; "string"; "name"; "root" ]
+  | Ast.Path (a, _) | Ast.Filter (a, _) -> uses_focus a
+  | e -> List.exists uses_focus (Ast.sub_exprs e)
+
+(** Rule 4: a general comparison between [@attr] and an operand that does
+    not use the focus.  The operand is evaluated once per step instead
+    of once per candidate. *)
+type hoisted = {
+  attr : Qname.t;
+  op : Ast.comparison;
+  operand : Ast.expr;
+  attr_left : bool;  (** [@attr op X] rather than [X op @attr] *)
+}
+
+let hoisted_comparison (p : Ast.expr) =
+  match p with
+  | Ast.Compare
+      ( ((Ast.G_eq | Ast.G_ne | Ast.G_lt | Ast.G_le | Ast.G_gt | Ast.G_ge) as op),
+        a,
+        b ) -> (
+      match (a, b) with
+      | Ast.Step (Ast.Attribute, Ast.Name_test attr, []), x when not (uses_focus x)
+        ->
+          Some { attr; op; operand = x; attr_left = true }
+      | x, Ast.Step (Ast.Attribute, Ast.Name_test attr, []) when not (uses_focus x)
+        ->
+          Some { attr; op; operand = x; attr_left = false }
+      | _ -> None)
+  | _ -> None
+
+(* One operand item [y] as a test on an attribute's string value: the
+   comparison [eval_compare] makes between [y] and [xs:untypedAtomic(v)].
+   Against a string-like [y] that is a plain string comparison, which
+   cannot raise. *)
+let operand_test h (y : Xs.t) : string -> bool =
+  match (y, h.op) with
+  | (Xs.String k | Xs.Untyped k | Xs.AnyURI k), Ast.G_eq -> String.equal k
+  | (Xs.String k | Xs.Untyped k | Xs.AnyURI k), op ->
+      if h.attr_left then fun v -> order_holds op (String.compare v k)
+      else fun v -> order_holds op (String.compare k v)
+  | _ ->
+      fun v ->
+        let x, y =
+          if h.attr_left then Xs.coerce_general (Xs.Untyped v) y
+          else Xs.coerce_general y (Xs.Untyped v)
+        in
+        value_compare h.op x y
+
+(* The predicate as a test on the element slots of [s], given one test per
+   operand item: the existential general comparison over the attributes
+   named [h.attr], read straight from the [value] array, with the loops
+   nested in [eval_compare]'s order (left operand outermost). *)
+let hoisted_filter h tests (s : Store.t) : int -> bool =
+  let open Store in
+  let name_is = name_matcher h.attr in
+  let rec any_attr owner a test =
+    a < Array.length s.kind
+    && s.kind.(a) = Attr
+    && s.parent.(a) = owner
+    && ((name_is s.name.(a) && test s.value.(a)) || any_attr owner (a + 1) test)
+  in
+  match tests with
+  | [ test ] -> fun pre -> s.kind.(pre) = Elem && any_attr pre (pre + 1) test
+  | _ when h.attr_left ->
+      let test v = List.exists (fun t -> t v) tests in
+      fun pre -> s.kind.(pre) = Elem && any_attr pre (pre + 1) test
+  | _ ->
+      fun pre ->
+        s.kind.(pre) = Elem && List.exists (any_attr pre (pre + 1)) tests
 
 (* ------------------------------------------------------------------ *)
 (* Constructors                                                        *)
@@ -298,40 +411,12 @@ let rec eval (ctx : Context.t) (e : Ast.expr) : Xdm.sequence =
             if q = `Some then List.exists test items else List.for_all test items
       in
       [ Xdm.bool (go ctx binds) ]
-  | Ast.Path (a, b) ->
-      let input = eval ctx a in
-      let n = List.length input in
-      let results =
-        List.concat
-          (List.mapi
-             (fun i item ->
-               eval (Context.with_context_item ctx item (i + 1) n) b)
-             input)
-      in
-      let nodes, atomics =
-        List.partition (function Xdm.Node _ -> true | _ -> false) results
-      in
-      if atomics = [] then
-        List.map
-          (fun n -> Xdm.Node n)
-          (Xdm.doc_order_dedup (List.map Xdm.node_only nodes))
-      else if nodes = [] then atomics
-      else Xdm.dyn_error "XPTY0018: path step mixes nodes and atomic values"
+  | Ast.Path (a, b) -> (
+      match descendant_shortcut a b with
+      | Some (e, step) -> eval_path ctx e step
+      | None -> eval_path ctx a b)
   | Ast.Step (axis, test, preds) ->
-      let n = Context.context_node ctx in
-      let principal = if axis = Ast.Attribute then `Attribute else `Element in
-      let candidates =
-        List.filter (test_matches ~principal test) (axis_nodes axis n)
-      in
-      let filtered =
-        apply_predicates ctx preds (List.map (fun n -> Xdm.Node n) candidates)
-      in
-      if is_forward axis then filtered
-      else
-        (* reverse axes: result back in document order *)
-        List.map
-          (fun n -> Xdm.Node n)
-          (Xdm.doc_order_dedup (List.map Xdm.node_only filtered))
+      step ctx axis test preds (Context.context_node ctx)
   | Ast.Filter (e, preds) -> apply_predicates ctx preds (eval ctx e)
   | Ast.Call (q, args) -> eval_call ctx q args
   | Ast.Execute_at (dest, f, args) -> (
@@ -514,20 +599,96 @@ and eval_compare ctx op a b =
       in
       [ Xdm.bool sat ]
 
+(* Rule 2: [Xdm.path_result] sorts only when the step results are not
+   already in document order. *)
+and eval_path ctx a b =
+  let apply item pos size =
+    match (b, item) with
+    | Ast.Step (axis, test, preds), Xdm.Node n -> step ctx axis test preds n
+    | _ -> eval (Context.with_context_item ctx item pos size) b
+  in
+  Xdm.path_result
+    (match eval ctx a with
+    | [ item ] -> apply item 1 1
+    | input ->
+        let n = List.length input in
+        List.concat (List.mapi (fun i item -> apply item (i + 1) n) input))
+
+(** [step ctx axis test preds n]: the nodes [axis::test[preds]] selects
+    from context node [n], in document order; [ctx] binds the variables
+    the predicates read.  Rule 3: child, descendant and attribute steps
+    are one scan of the Store arrays; rule 4: a leading hoistable
+    comparison is fused into that scan, its operand evaluated on the
+    first candidate. *)
+and step ctx axis test preds n =
+  let s = n.Store.store in
+  let keep = test_matcher axis test s in
+  let item m = Xdm.Node m in
+  (* the axis in axis order: reverse axes in reverse document order *)
+  let scan keep =
+    let select nodes =
+      List.filter_map (fun m -> if keep m.Store.pre then Some (item m) else None) nodes
+    in
+    match axis with
+    | Ast.Child -> Store.children_where n keep item
+    | Ast.Descendant -> Store.descendants_where n keep item
+    | Ast.Attribute -> Store.attributes_where n keep item
+    | Ast.Descendant_or_self -> select (Store.descendant_or_self n)
+    | Ast.Self -> select [ n ]
+    | Ast.Parent -> select (Option.to_list (Store.parent n))
+    | Ast.Ancestor -> select (Store.ancestors n)
+    | Ast.Ancestor_or_self -> select (n :: Store.ancestors n)
+    | Ast.Following_sibling -> select (Store.following_siblings n)
+    | Ast.Preceding_sibling -> select (List.rev (Store.preceding_siblings n))
+    | Ast.Following -> select (Store.following n)
+    | Ast.Preceding -> select (List.rev (Store.preceding n))
+  in
+  let candidates, preds =
+    match preds with
+    | p :: rest -> (
+        match hoisted_comparison p with
+        | Some h ->
+            (* the first candidate evaluates the operand and installs
+               the filter for the rest of the scan *)
+            let holds = ref (fun _ -> false) in
+            (holds :=
+               fun pre ->
+                 let f = hoisted_filter h (operand_tests ctx h) s in
+                 holds := f;
+                 f pre);
+            (scan (fun pre -> keep pre && !holds pre), rest)
+        | None -> (scan keep, preds))
+    | [] -> (scan keep, [])
+  in
+  let filtered = List.fold_left (step_predicate ctx s) candidates preds in
+  (* reverse axes yield strictly reverse document order *)
+  if is_forward axis then filtered else List.rev filtered
+
+(* a predicate over step results, which are all nodes of [s] *)
+and step_predicate ctx s seq pred =
+  match (hoisted_comparison pred, seq) with
+  | Some h, _ :: _ ->
+      let holds = hoisted_filter h (operand_tests ctx h) s in
+      List.filter
+        (function Xdm.Node m -> holds m.Store.pre | Xdm.Atomic _ -> false)
+        seq
+  | _ -> apply_predicate ctx seq pred
+
+and operand_tests ctx h = List.map (operand_test h) (Xdm.atomize (eval ctx h.operand))
+
+and apply_predicate ctx seq pred =
+  let size = List.length seq in
+  List.filteri
+    (fun i item ->
+      let ictx = Context.with_context_item ctx item (i + 1) size in
+      match eval ictx pred with
+      | [ Xdm.Atomic a ] when Xs.is_numeric a ->
+          int_of_float (Xs.to_float a) = i + 1
+      | r -> Xdm.ebv r)
+    seq
+
 and apply_predicates ctx preds seq =
-  List.fold_left
-    (fun seq pred ->
-      let size = List.length seq in
-      List.filteri
-        (fun i item ->
-          let ictx = Context.with_context_item ctx item (i + 1) size in
-          let r = eval ictx pred in
-          match r with
-          | [ Xdm.Atomic a ] when Xs.is_numeric a ->
-              int_of_float (Xs.to_float a) = i + 1
-          | r -> Xdm.ebv r)
-        seq)
-    seq preds
+  List.fold_left (apply_predicate ctx) seq preds
 
 (* ---- FLWOR with loop-lifted Bulk RPC ---------------------------- *)
 

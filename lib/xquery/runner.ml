@@ -86,70 +86,25 @@ let load_prolog (ctx : Context.t) ~(resolver : module_resolver)
 (** Check whether a program's body contains any updating expression or call
     to a declared updating function — used by peers to classify queries. *)
 let prog_is_updating (ctx : Context.t) (prog : Ast.prog) =
-  let rec expr_updating (e : Ast.expr) =
+  let declared_updating q args =
+    Option.map
+      (fun f -> f.Context.decl.Ast.fn_updating)
+      (Context.find_function ctx q (List.length args))
+  in
+  let updating (e : Ast.expr) =
     match e with
     | Ast.Insert _ | Ast.Delete _ | Ast.Replace_node _ | Ast.Replace_value _
     | Ast.Rename_node _ ->
         true
-    | Ast.Call (q, args) ->
-        (match Context.find_function ctx q (List.length args) with
-        | Some f -> f.Context.decl.Ast.fn_updating
+    | Ast.Call (q, args) -> (
+        match declared_updating q args with
+        | Some u -> u
         | None -> q.Qname.local = "put" && (q.Qname.uri = Qname.ns_fn || q.Qname.uri = ""))
-        || List.exists expr_updating args
-    | Ast.Execute_at (d, q, args) ->
-        (match Context.find_function ctx q (List.length args) with
-        | Some f -> f.Context.decl.Ast.fn_updating
-        | None -> false)
-        || expr_updating d
-        || List.exists expr_updating args
-    | Ast.Sequence es -> List.exists expr_updating es
-    | Ast.Range (a, b)
-    | Ast.Arith (_, a, b)
-    | Ast.Compare (_, a, b)
-    | Ast.And (a, b)
-    | Ast.Or (a, b)
-    | Ast.Union (a, b)
-    | Ast.Intersect (a, b)
-    | Ast.Except (a, b)
-    | Ast.Path (a, b)
-    | Ast.Comp_elem (a, b)
-    | Ast.Comp_attr (a, b) ->
-        expr_updating a || expr_updating b
-    | Ast.If (c, t, e) -> expr_updating c || expr_updating t || expr_updating e
-    | Ast.Flwor (clauses, order_by, ret) ->
-        List.exists
-          (function
-            | Ast.For (_, _, e) | Ast.Let (_, e) | Ast.Where e ->
-                expr_updating e)
-          clauses
-        || List.exists (fun (e, _) -> expr_updating e) order_by
-        || expr_updating ret
-    | Ast.Quantified (_, binds, sat) ->
-        List.exists (fun (_, e) -> expr_updating e) binds || expr_updating sat
-    | Ast.Step (_, _, preds) -> List.exists expr_updating preds
-    | Ast.Filter (e, preds) ->
-        expr_updating e || List.exists expr_updating preds
-    | Ast.Elem_ctor (_, attrs, content) ->
-        List.exists
-          (fun (_, parts) ->
-            List.exists
-              (function Ast.A_expr e -> expr_updating e | Ast.A_text _ -> false)
-              parts)
-          attrs
-        || List.exists expr_updating content
-    | Ast.Text_ctor e | Ast.Comment_ctor e | Ast.Doc_ctor e | Ast.Neg e
-    | Ast.Instance_of (e, _)
-    | Ast.Cast_as (e, _, _)
-    | Ast.Castable_as (e, _, _)
-    | Ast.Treat_as (e, _) ->
-        expr_updating e
-    | Ast.Typeswitch (op, cases, (_, de)) ->
-        expr_updating op
-        || List.exists (fun (_, _, e) -> expr_updating e) cases
-        || expr_updating de
-    | Ast.Literal _ | Ast.Var _ | Ast.Context_item | Ast.Root -> false
+    | Ast.Execute_at (_, q, args) ->
+        Option.value ~default:false (declared_updating q args)
+    | _ -> false
   in
-  match prog.Ast.body with Some e -> expr_updating e | None -> false
+  match prog.Ast.body with Some e -> Ast.exists_expr updating e | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Shard-aware [execute at] destinations                               *)

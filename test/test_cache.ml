@@ -249,6 +249,56 @@ let test_lru_replace_at_capacity () =
   check bool_ "replaced value served" true (Lru.find c "k1" = Some "r1'");
   check bool_ "other key untouched" true (Lru.find c "k2" = Some "r2")
 
+(* the recency list against a reference model — a list of keys, most
+   recent first — over seeded random finds, adds, touches, removes and
+   invalidations at a small capacity, so every path evicts often *)
+let test_lru_matches_model () =
+  let rng = Random.State.make [| 14 |] in
+  let cap = 4 in
+  let lru = Lru.create ~capacity:cap () in
+  let evicted = ref [] in
+  Lru.set_on_evict lru (fun k -> evicted := k :: !evicted);
+  let model = ref [] (* (key, value), most recent first *) in
+  let model_evicted = ref [] in
+  let promote k v = model := (k, v) :: List.remove_assoc k !model in
+  for step = 1 to 2000 do
+    let k = string_of_int (Random.State.int rng 8) in
+    (match Random.State.int rng 5 with
+    | 0 ->
+        let want = List.assoc_opt k !model in
+        Option.iter (promote k) want;
+        check (Alcotest.option int_) (Printf.sprintf "find %s at %d" k step) want
+          (Lru.find lru k)
+    | 1 ->
+        (if (not (List.mem_assoc k !model)) && List.length !model >= cap then
+           match List.rev !model with
+           | (victim, _) :: _ ->
+               model := List.remove_assoc victim !model;
+               model_evicted := victim :: !model_evicted
+           | [] -> ());
+        promote k step;
+        Lru.add lru k step
+    | 2 ->
+        Option.iter (promote k) (List.assoc_opt k !model);
+        Lru.touch lru k
+    | 3 ->
+        check bool_ "remove" (List.mem_assoc k !model) (Lru.remove lru k);
+        model := List.remove_assoc k !model
+    | _ ->
+        let parity = Random.State.int rng 2 in
+        let doomed (_, v) = v mod 2 = parity in
+        check int_ "remove_if count"
+          (List.length (List.filter doomed !model))
+          (Lru.remove_if lru (fun _ v -> v mod 2 = parity));
+        model := List.filter (fun e -> not (doomed e)) !model);
+    check int_ "size" (List.length !model) (Lru.size lru);
+    check (Alcotest.list string_) "evictions, in order" !model_evicted !evicted
+  done;
+  (* whatever survived is served in full *)
+  List.iter
+    (fun (k, v) -> check (Alcotest.option int_) k (Some v) (Lru.peek lru k))
+    !model
+
 (* ------------------------------------------------------------------ *)
 (* Plan cache at a peer                                                *)
 (* ------------------------------------------------------------------ *)
@@ -804,6 +854,8 @@ let () =
             test_lru_eviction_order;
           Alcotest.test_case "replacement does not evict" `Quick
             test_lru_replace_at_capacity;
+          Alcotest.test_case "matches a reference model" `Quick
+            test_lru_matches_model;
         ] );
       ( "plan-cache",
         [

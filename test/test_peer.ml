@@ -328,6 +328,55 @@ let test_bulk_hash_join_used_and_correct () =
       | _ -> Alcotest.fail "single call")
   | _ -> Alcotest.fail "resp"
 
+(* The hash join compares keys as strings, so it must step aside whenever
+   a call would compare otherwise: a numeric parameter or key casts the
+   untyped side to double ("01" = 1), an empty parameter matches
+   nothing, not the empty-string key, and a two-item parameter matches
+   either item.  Bulk answers equal single-call answers either way. *)
+let test_bulk_join_equals_singles () =
+  let peer = Peer.create "xrpc://join.example.org" in
+  Peer.register_module peer ~uri:"regress" ~location:"http://x.example.org/regress.xq"
+    {|module namespace f = "regress";
+declare function f:get($n as xs:integer) { doc("d.xml")//e[@n = $n] };
+declare function f:opt($k as xs:string?) { doc("d.xml")//e[@s = $k] };
+declare function f:any($k) { doc("d.xml")//e[@s = $k] };
+declare function f:num($k) { doc("d.xml")//e[number(@n) = $k] };|};
+  Database.add_doc_xml peer.Peer.db "d.xml"
+    {|<d><e n="01" s="01"/><e n="2.0" s="2.0"/><e n="3" s="3"/><e s=""/></d>|};
+  let req method_ calls =
+    {
+      Message.module_uri = "regress";
+      location = "http://x.example.org/regress.xq";
+      method_;
+      arity = 1;
+      updating = false;
+      fragments = false;
+      query_id = None;
+      idem_key = None; cache_ok = false;
+      calls = List.map (fun arg -> [ arg ]) calls;
+    }
+  in
+  let results method_ calls =
+    match handle peer (req method_ calls) with
+    | Message.Response r -> List.map Xdm.to_display r.Message.results
+    | _ -> Alcotest.failf "%s: expected a response" method_
+  in
+  List.iter
+    (fun (method_, calls) ->
+      let bulk = results method_ calls in
+      let singles = List.concat_map (fun c -> results method_ [ c ]) calls in
+      check (Alcotest.list string_) (method_ ^ ": bulk = singles") singles bulk)
+    [
+      ("get", [ [ Xdm.int 1 ]; [ Xdm.int 2 ]; [ Xdm.int 3 ] ]);
+      ("opt", [ [ Xdm.str "3" ]; []; [ Xdm.str "01" ] ]);
+      ("any", [ [ Xdm.str "3"; Xdm.str "01" ]; [ Xdm.str "2.0" ]; [ Xdm.str "" ] ]);
+      ( "num",
+        List.map (fun k -> [ Xdm.Atomic (Xs.Untyped k) ]) [ "01"; "2.0"; "3" ] );
+    ];
+  check (Alcotest.list string_) "numeric keys match after the cast"
+    [ {|<e n="01" s="01"/>|}; {|<e n="2.0" s="2.0"/>|}; {|<e n="3" s="3"/>|} ]
+    (results "get" [ [ Xdm.int 1 ]; [ Xdm.int 2 ]; [ Xdm.int 3 ] ])
+
 let test_get_document_internal () =
   let peer, _ = make_peer () in
   let req =
@@ -386,5 +435,7 @@ let () =
       ( "bulk-optimization",
         [
           Alcotest.test_case "hash join" `Quick test_bulk_hash_join_used_and_correct;
+          Alcotest.test_case "hash join equals singles" `Quick
+            test_bulk_join_equals_singles;
         ] );
     ]
