@@ -40,20 +40,20 @@ let m_rank_ms = Metrics.histogram "ops.rank_ms"
 let m_merge_ms = Metrics.histogram "ops.merge_union_ms"
 
 (* [timed counter histogram name rows_in f] — the counter always ticks;
-   with tracing on the histogram samples the clock; with profiling on the
-   operator's rows-in/rows-out/wall-time are attributed to the ambient
-   plan node ([Profile.record_op]).  [rows_in] is a thunk so the off path
-   never touches a cardinality. *)
+   while spans are recording (tracing on, or inside a profile) the
+   histogram samples the clock and the operator's rows-in/rows-out/wall
+   time go to the ambient plan node ([Profile.record_op], a no-op outside
+   a profile).  [rows_in] is a thunk so the off path never touches a
+   cardinality. *)
 let timed c h name rows_in f =
   Metrics.incr c;
-  if Trace.enabled () || Profile.enabled () then begin
+  if Trace.recording () then begin
     let t0 = Trace.now_ms () in
     let r = f () in
     let dt = Trace.now_ms () -. t0 in
-    if Trace.enabled () then Metrics.observe h dt;
-    if Profile.enabled () then
-      Profile.record_op name ~rows_in:(rows_in ())
-        ~rows_out:(Table.cardinality r) dt;
+    Metrics.observe h dt;
+    Profile.record_op name ~rows_in:(rows_in ())
+      ~rows_out:(Table.cardinality r) dt;
     r
   end
   else f ()

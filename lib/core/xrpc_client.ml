@@ -180,10 +180,8 @@ let note_exchange ~dest ~out_bytes ~in_bytes =
   Metrics.incr (m_dest_requests dest);
   Metrics.incr_by (m_dest_bytes_out dest) out_bytes;
   Metrics.incr_by (m_dest_bytes_in dest) in_bytes;
-  if Profile.enabled () then begin
-    Profile.note_send ~dest ~bytes:out_bytes;
-    Profile.note_recv ~dest ~bytes:in_bytes
-  end
+  Profile.note_send ~dest ~bytes:out_bytes;
+  Profile.note_recv ~dest ~bytes:in_bytes
 
 (* unspanned sends: the typed calls open the span themselves so response
    decoding (and its trace events, e.g. remote-cache-hit) happens inside
@@ -252,16 +250,7 @@ let m_dest_db_version dest =
 
 (* a Fault reply becomes the typed error it round-trips as *)
 let decode ~dest raw =
-  let msg =
-    if Profile.enabled () then begin
-      (* pick up the serving peer's phase breakdown from the header *)
-      let msg, server_profile = Message.of_string_profiled raw in
-      Option.iter (fun p -> Profile.note_remote ~dest p) server_profile;
-      msg
-    end
-    else Message.of_string raw
-  in
-  match msg with
+  match Message.of_reply ~dest raw with
   | Message.Response r ->
       if r.Message.cached then begin
         Metrics.incr (m_dest_cache_hits dest);
@@ -287,7 +276,7 @@ let call_bulk t ~dest ?query_id ?updating ?fragments ?cache ~module_uri
     request t ?query_id ?updating ?fragments ?cache ~module_uri ?location ~fn
       calls
   in
-  if Profile.enabled () then Profile.note_calls ~dest (List.length calls);
+  Profile.note_calls ~dest (List.length calls);
   span_call ~dest @@ fun () ->
   decode ~dest (send_raw t ~dest (Message.to_string (Message.Request req)))
 

@@ -39,8 +39,8 @@ val shutdown : t -> unit
 
 val submit : t -> (unit -> 'a) -> 'a future
 (** Run a thunk under the executor.  The calling thread's ambient trace
-    span is carried onto the worker, so spans opened by the thunk keep
-    their logical parent.  On {!sequential} the thunk has already run
+    span is carried onto the worker, so spans and plan nodes opened by the
+    thunk keep their logical parent.  On {!sequential} the thunk has already run
     (and its effects are visible) when [submit] returns. *)
 
 val await : 'a future -> 'a

@@ -2,28 +2,21 @@
    message accounting, and the remote peer's phase breakdown — the data
    behind the shell's :profile command and Xrpc_client.call_profiled.
 
-   The model mirrors Trace but collects *aggregates* instead of raw spans:
+   A profile is a view over Trace.  [profiled] opens a "profile" span that
+   owns a Trace scope, so every span opened under it, on any thread its
+   work is handed to, is recorded whether or not tracing is on.  A plan
+   node is a span with a plan (label, output cardinality, merged kernel-op
+   stats): Looplift opens one per algebra expression (ids in pre-order),
+   Eval one per top-level function application (its eval.apply
+   span) and one per Bulk RPC dispatch.  [nodes], [render] and [to_json]
+   rebuild the plan tree from the scope with [Trace.tree_of].  What is not
+   a span stays here, updated under Trace's lock: destination stats
+   (messages, logical calls, bytes both ways, and the remote phases parsed
+   from the serverProfile attribute), ops outside any node, and the
+   optimizer's annotations.  With no profile open every entry point
+   returns after one test. *)
 
-   - a profile is a tree of plan nodes.  Looplift opens one node per
-     algebra expression it evaluates (stable ids in evaluation order,
-     which for a given query is deterministic pre-order), Eval opens one
-     per top-level function application, Bulk_rpc / Eval.bulk_execute one
-     per distributed dispatch;
-   - each node accumulates the kernel-level operator stats (rows in/out,
-     calls, inclusive wall time) that Ops reports while the node is the
-     ambient one on its thread;
-   - destination stats (messages, logical calls, serialized bytes both
-     ways, and the remote peer's parse/compile/exec/commit costs parsed
-     from the response's serverProfile attribute) hang off the profile
-     itself, keyed by destination URI.
-
-   Gating discipline is the same as Trace (ISSUE 3): when profiling is off
-   — the default — every entry point returns after one flag test, so the
-   instrumented hot paths stay at ~0%% cost.  Timings use Trace's
-   injectable clock, so Cluster-bound profiles run on the virtual clock
-   and replay deterministically. *)
-
-type op_stat = {
+type op_stat = Trace.op_stat = {
   mutable os_calls : int;
   mutable os_rows_in : int;
   mutable os_rows_out : int;
@@ -35,9 +28,10 @@ type node = {
   name : string;
   detail : string;
   parent : int option;
-  mutable rows_out : int; (* -1 = not set *)
-  mutable incl_ms : float; (* inclusive wall time, accumulated *)
-  mutable ops : (string * op_stat) list; (* insertion order *)
+  rows_out : int; (* -1 = not set *)
+  incl_ms : float; (* inclusive wall time *)
+  ops : (string * op_stat) list; (* insertion order *)
+  children : node list;
 }
 
 type dest_stat = {
@@ -50,104 +44,35 @@ type dest_stat = {
 
 type t = {
   label : string;
-  mutable nodes : node list; (* newest first *)
-  mutable n_nodes : int;
-  mutable dropped : int;
+  scope : Trace.scope; (* the spans recorded under the profile *)
   mutable root_ops : (string * op_stat) list; (* ops outside any node *)
   dests : (string, dest_stat) Hashtbl.t;
   mutable annotations : string list;
       (* free-form analysis notes, newest first — the optimizer attaches
          its cost estimates here so a rendered profile shows the predicted
          cost next to the measured one *)
-  started_ms : float;
-  mutable total_ms : float; (* nan until the profiled run finishes *)
 }
 
-let enabled_flag = ref false
-let enabled () = !enabled_flag
+let current : t option ref = ref None
+let enabled () = !current <> None
 
-(* Plan nodes are bounded: a query that re-evaluates a subtree per tuple
-   (If branches under loop-lifting, recursive functions under Eval) could
-   otherwise grow the node list with the data.  Past the cap new nodes
-   are counted as dropped; op stats still accumulate into the nearest
-   live ancestor. *)
+(* The spans a profile records are bounded: a query that re-evaluates a
+   subtree per tuple (If branches under loop-lifting, recursive functions
+   under Eval) could otherwise grow the profile with the data.  Past the
+   cap new spans are counted as dropped; op stats still accumulate into
+   the nearest recorded node. *)
 let capacity = ref 10_000
 let set_capacity n = capacity := n
 
-let state_mutex = Mutex.create ()
+(* Run [f] as plan node [name] when a profile is open. *)
+let with_node ?detail name f =
+  if enabled () then Trace.with_span ?detail ~plan:name name f else f ()
 
-let locked f =
-  Mutex.lock state_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock state_mutex) f
-
-let make label =
-  { label; nodes = []; n_nodes = 0; dropped = 0; root_ops = [];
-    dests = Hashtbl.create 8; annotations = [];
-    started_ms = Trace.now_ms (); total_ms = nan }
-
-let current : t option ref = ref None
-
-(* Per-thread stack of open nodes: the dispatch executor runs Bulk RPC
-   legs on pool threads, and each leg's kernel work must land under that
-   leg's node, not under whatever the main thread has open. *)
-let stacks : (int, node list ref) Hashtbl.t = Hashtbl.create 8
-let stacks_mutex = Mutex.create ()
-
-let my_stack () =
-  let id = Thread.id (Thread.self ()) in
-  Mutex.lock stacks_mutex;
-  let st =
-    match Hashtbl.find_opt stacks id with
-    | Some st -> st
-    | None ->
-        let st = ref [] in
-        Hashtbl.replace stacks id st;
-        st
-  in
-  Mutex.unlock stacks_mutex;
-  st
-
-let with_node ?(detail = "") name f =
-  if not !enabled_flag then f ()
-  else
-    match !current with
-    | None -> f ()
-    | Some p ->
-        let st = my_stack () in
-        let parent = match !st with [] -> None | n :: _ -> Some n.id in
-        let n =
-          locked (fun () ->
-              if p.n_nodes >= !capacity then begin
-                p.dropped <- p.dropped + 1;
-                None
-              end
-              else begin
-                let n =
-                  { id = p.n_nodes + 1; name; detail; parent; rows_out = -1;
-                    incl_ms = 0.; ops = [] }
-                in
-                p.nodes <- n :: p.nodes;
-                p.n_nodes <- p.n_nodes + 1;
-                Some n
-              end)
-        in
-        (match n with
-        | None -> f ()
-        | Some n ->
-            st := n :: !st;
-            let t0 = Trace.now_ms () in
-            Fun.protect
-              ~finally:(fun () ->
-                n.incl_ms <- n.incl_ms +. (Trace.now_ms () -. t0);
-                match !st with
-                | top :: rest when top == n -> st := rest
-                | _ -> ())
-              f)
+let current_plan () = Option.bind (Trace.current ()) Trace.plan_of
 
 (* Set the output cardinality of the innermost open node. *)
 let set_rows rows =
-  if !enabled_flag then
-    match !(my_stack ()) with [] -> () | n :: _ -> n.rows_out <- rows
+  if enabled () then Option.iter (fun pl -> pl.Trace.rows <- rows) (current_plan ())
 
 let merge_op ops name ~rows_in ~rows_out ms =
   match List.assoc_opt name ops with
@@ -163,17 +88,18 @@ let merge_op ops name ~rows_in ~rows_out ms =
                    os_rows_out = rows_out; os_ms = ms }) ]
 
 (* Called by Ops.timed for every kernel invocation while profiling is on;
-   attributes the work to the innermost open plan node on this thread. *)
+   attributes the work to the innermost open plan node, which may have
+   been opened on the thread that handed this work over. *)
 let record_op name ~rows_in ~rows_out ms =
-  if !enabled_flag then
-    match !current with
-    | None -> ()
-    | Some p -> (
-        match !(my_stack ()) with
-        | n :: _ -> n.ops <- merge_op n.ops name ~rows_in ~rows_out ms
-        | [] ->
-            locked (fun () ->
-                p.root_ops <- merge_op p.root_ops name ~rows_in ~rows_out ms))
+  match !current with
+  | None -> ()
+  | Some p ->
+      let plan = current_plan () in
+      Trace.locked (fun () ->
+          match plan with
+          | Some pl ->
+              pl.Trace.ops <- merge_op pl.Trace.ops name ~rows_in ~rows_out ms
+          | None -> p.root_ops <- merge_op p.root_ops name ~rows_in ~rows_out ms)
 
 (* ------------------------------------------------------------------ *)
 (* Destination accounting                                              *)
@@ -191,10 +117,9 @@ let dest_stat_locked p dest =
       d
 
 let with_dest dest f =
-  if !enabled_flag then
-    match !current with
-    | None -> ()
-    | Some p -> locked (fun () -> f (dest_stat_locked p dest))
+  match !current with
+  | None -> ()
+  | Some p -> Trace.locked (fun () -> f (dest_stat_locked p dest))
 
 let note_send ~dest ~bytes =
   with_dest dest (fun d ->
@@ -209,10 +134,9 @@ let note_calls ~dest n = with_dest dest (fun d -> d.d_calls <- d.d_calls + n)
 (* Attach a free-form note to the current profile (no-op when profiling
    is off) — e.g. the optimizer's estimated cost of a dispatch. *)
 let note_annotation s =
-  if !enabled_flag then
-    match !current with
-    | None -> ()
-    | Some p -> locked (fun () -> p.annotations <- s :: p.annotations)
+  match !current with
+  | None -> ()
+  | Some p -> Trace.locked (fun () -> p.annotations <- s :: p.annotations)
 
 (* Remote phase costs parsed from the response's serverProfile attribute;
    summed per phase name across all messages to this destination. *)
@@ -236,24 +160,28 @@ let note_remote ~dest phases =
    result together with the finished profile.  Nests: the previous
    profile (if any) is restored afterwards. *)
 let profiled ?(label = "") f =
-  let p = make label in
-  let old_cur = !current and old_en = !enabled_flag in
+  let p =
+    { label; scope = Trace.new_scope ~capacity:!capacity (); root_ops = [];
+      dests = Hashtbl.create 8; annotations = [] }
+  in
+  let old = !current in
   current := Some p;
-  enabled_flag := true;
   let r =
     Fun.protect
-      ~finally:(fun () ->
-        p.total_ms <- Trace.now_ms () -. p.started_ms;
-        enabled_flag := old_en;
-        current := old_cur)
-      f
+      ~finally:(fun () -> current := old)
+      (fun () -> Trace.with_span ~scope:p.scope ~detail:label "profile" f)
   in
   (r, p)
 
 let label p = p.label
-let total_ms p = p.total_ms
-let node_count p = p.n_nodes
-let dropped_count p = p.dropped
+
+(* the profile span's duration: nan until the profiled run finishes *)
+let total_ms p =
+  match p.scope.Trace.sc_owner with
+  | Some s -> Trace.duration_ms s
+  | None -> nan
+
+let dropped_count p = p.scope.Trace.sc_dropped
 
 let dests p =
   Hashtbl.fold (fun dest d acc -> (dest, d) :: acc) p.dests []
@@ -261,28 +189,39 @@ let dests p =
 
 let annotations p = List.rev p.annotations
 
-let nodes p = List.rev p.nodes (* creation order: stable plan-node ids *)
+(* ------------------------------------------------------------------ *)
+(* The plan tree, rebuilt from the profile's spans                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The plan nodes among the profile's spans, as a forest: the plain
+   spans between them are skipped, and ids number the nodes in pre-order,
+   which is evaluation order. *)
+let plan p =
+  let roots, kids = Trace.tree_of (Trace.scope_spans p.scope) in
+  let next = ref 0 in
+  let rec build parent s =
+    match s.Trace.plan with
+    | Some pl ->
+        incr next;
+        let id = !next and ms = Trace.duration_ms s in
+        [ { id; name = pl.Trace.label; detail = s.Trace.detail; parent;
+            rows_out = pl.Trace.rows;
+            incl_ms = (if Float.is_nan ms then 0. else ms);
+            ops = pl.Trace.ops;
+            children = List.concat_map (build (Some id)) (kids s.Trace.span_id) } ]
+    | None -> List.concat_map (build parent) (kids s.Trace.span_id)
+  in
+  List.concat_map (build None) roots
+
+let nodes p =
+  let rec flat n = n :: List.concat_map flat n.children in
+  List.concat_map flat (plan p)
+
+let node_count p = List.length (nodes p)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let tree_of p =
-  let all = nodes p in
-  let children = Hashtbl.create 64 in
-  let roots = ref [] in
-  List.iter
-    (fun n ->
-      match n.parent with
-      | Some pid ->
-          let l = try Hashtbl.find children pid with Not_found -> [] in
-          Hashtbl.replace children pid (n :: l)
-      | None -> roots := n :: !roots)
-    all;
-  let kids id =
-    List.rev (try Hashtbl.find children id with Not_found -> [])
-  in
-  (List.rev !roots, kids)
 
 let render_ops buf indent ops =
   List.iter
@@ -297,11 +236,11 @@ let render p =
   Buffer.add_string buf
     (Printf.sprintf "profile%s: total %s  (%d plan nodes%s)\n"
        (if p.label = "" then "" else " " ^ p.label)
-       (if Float.is_nan p.total_ms then "OPEN"
-        else Printf.sprintf "%.3f ms" p.total_ms)
-       p.n_nodes
-       (if p.dropped > 0 then Printf.sprintf ", %d dropped" p.dropped else ""));
-  let roots, kids = tree_of p in
+       (if Float.is_nan (total_ms p) then "OPEN"
+        else Printf.sprintf "%.3f ms" (total_ms p))
+       (node_count p)
+       (let d = dropped_count p in
+        if d > 0 then Printf.sprintf ", %d dropped" d else ""));
   let rec pr indent n =
     Buffer.add_string buf
       (Printf.sprintf "%s#%d %s%s  %.3f ms%s\n" indent n.id n.name
@@ -310,9 +249,9 @@ let render p =
          (if n.rows_out >= 0 then Printf.sprintf "  rows=%d" n.rows_out
           else ""));
     render_ops buf (indent ^ "   ") n.ops;
-    List.iter (pr (indent ^ "  ")) (kids n.id)
+    List.iter (pr (indent ^ "  ")) n.children
   in
-  List.iter (pr "") roots;
+  List.iter (pr "") (plan p);
   render_ops buf "" p.root_ops;
   let ds = dests p in
   if ds <> [] then begin
@@ -365,7 +304,6 @@ let ops_json ops =
 
 let to_json p =
   let buf = Buffer.create 1024 in
-  let roots, kids = tree_of p in
   let rec node_json n =
     Printf.sprintf
       "{\"id\":%d,\"name\":%s%s,\"ms\":%s%s,\"ops\":%s,\"children\":[%s]}"
@@ -375,15 +313,15 @@ let to_json p =
       (if n.rows_out >= 0 then Printf.sprintf ",\"rows\":%d" n.rows_out
        else "")
       (ops_json n.ops)
-      (String.concat "," (List.map node_json (kids n.id)))
+      (String.concat "," (List.map node_json n.children))
   in
   Buffer.add_string buf "{";
   if p.label <> "" then
     Buffer.add_string buf (Printf.sprintf "\"label\":%s," (jstr p.label));
-  Buffer.add_string buf (Printf.sprintf "\"total_ms\":%s," (jnum p.total_ms));
+  Buffer.add_string buf (Printf.sprintf "\"total_ms\":%s," (jnum (total_ms p)));
   Buffer.add_string buf
     (Printf.sprintf "\"plan\":[%s]"
-       (String.concat "," (List.map node_json roots)));
+       (String.concat "," (List.map node_json (plan p))));
   if p.root_ops <> [] then
     Buffer.add_string buf (Printf.sprintf ",\"ops\":%s" (ops_json p.root_ops));
   let ds = dests p in
@@ -408,7 +346,7 @@ let to_json p =
       ds;
     Buffer.add_char buf '}'
   end;
-  if p.dropped > 0 then
-    Buffer.add_string buf (Printf.sprintf ",\"dropped\":%d" p.dropped);
+  let d = dropped_count p in
+  if d > 0 then Buffer.add_string buf (Printf.sprintf ",\"dropped\":%d" d);
   Buffer.add_string buf "}";
   Buffer.contents buf

@@ -15,12 +15,30 @@
    - context crosses peers as a (trace-id, parent-span) pair carried in
      the SOAP envelope header (see Soap.Message / protocol/XRPC.xsd);
      [propagation] reads the pair to stamp outgoing requests and
-     [with_remote_parent] adopts it on the serving side.
+     [with_span ~remote] adopts it on the serving side;
+   - this is the only span machinery: a Profile plan node is a span with
+     a [plan]; profiles and serverProfile requests collect spans in scopes.
 
-   When tracing is disabled (the default) every entry point returns after
-   a single flag test — the instrumented hot paths stay at ~0%% cost. *)
+   When tracing is disabled (the default) and no scope is open, every
+   entry point returns after a single flag test — the instrumented hot
+   paths stay at ~0%% cost. *)
 
 type event = { e_name : string; e_detail : string; e_at : float }
+
+(* Kernel-operator stats merged into a plan node (see Profile). *)
+type op_stat = {
+  mutable os_calls : int;
+  mutable os_rows_in : int;
+  mutable os_rows_out : int;
+  mutable os_ms : float;
+}
+
+(* A plan node's label, output cardinality and kernel-op stats. *)
+type plan = {
+  label : string;
+  mutable rows : int; (* -1 = not set *)
+  mutable ops : (string * op_stat) list; (* insertion order *)
+}
 
 type span = {
   trace_id : string;
@@ -31,11 +49,42 @@ type span = {
   start_ms : float;
   mutable end_ms : float; (* nan while the span is still open *)
   mutable events : event list; (* newest first *)
+  plan : plan option; (* Some for a plan node *)
+  up : span option; (* the span under this one on its thread's stack *)
+  scope : scope option; (* innermost scope this span records into *)
 }
 
+(* A bounded collection of spans, recorded at start in creation order;
+   past its capacity new spans are counted as dropped.  A scope opened by
+   a span records every span opened under it, on any thread the work is
+   handed to, whether or not tracing is on, and nests: a span records
+   into its scope and every enclosing one.  With tracing off, the only
+   spans opened under a scope are plan nodes and its owner's direct
+   children (a request's phases).  The global buffer is the scope that
+   records every span while tracing is on. *)
+and scope = {
+  mutable sc_capacity : int;
+  mutable sc_owner : span option; (* the span that opened the scope *)
+  mutable sc_outer : scope option;
+  mutable sc_spans : span list; (* newest first *)
+  mutable sc_n : int;
+  mutable sc_dropped : int;
+}
+
+let new_scope ?(capacity = max_int) () =
+  { sc_capacity = capacity; sc_owner = None; sc_outer = None; sc_spans = [];
+    sc_n = 0; sc_dropped = 0 }
+
+let buffer = new_scope ~capacity:50_000 ()
+let set_capacity n = buffer.sc_capacity <- n
+
+(* [recording_flag] is [!enabled_flag || !open_scopes > 0], kept up to
+   date under the state lock, so "nothing records" is one flag test. *)
 let enabled_flag = ref false
+let open_scopes = ref 0
+let recording_flag = ref false
+let refresh () = recording_flag := !enabled_flag || !open_scopes > 0
 let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
 
 let wall_clock_ms () = Unix.gettimeofday () *. 1000.
 
@@ -55,127 +104,164 @@ let locked f =
   Mutex.lock state_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock state_mutex) f
 
+let set_enabled b =
+  locked (fun () ->
+      enabled_flag := b;
+      refresh ())
+
 let process_tag = ref ""
 let set_process_tag t = process_tag := t
 let next_trace = ref 0
 let next_span = ref 0
 
-let fresh_trace_id () =
-  locked @@ fun () ->
-  incr next_trace;
-  Printf.sprintf "%st%d" !process_tag !next_trace
+(* Per-thread stack of open spans, under the state mutex.  A thread's
+   entry exists only while its stack is non-empty, so short-lived threads
+   leave nothing behind. *)
+let stacks : (int, span list) Hashtbl.t = Hashtbl.create 8
+let self_id () = Thread.id (Thread.self ())
+let stack_locked id = Option.value ~default:[] (Hashtbl.find_opt stacks id)
 
-let fresh_span_id_locked () =
-  incr next_span;
-  Printf.sprintf "%ss%d" !process_tag !next_span
+(* Pop down to (and including) [s]; an emptied stack leaves the table. *)
+let pop_locked id s =
+  let rec drop = function [] -> [] | x :: rest -> if x == s then rest else drop rest in
+  match drop (stack_locked id) with
+  | [] -> Hashtbl.remove stacks id
+  | l -> Hashtbl.replace stacks id l
 
-(* Finished + in-flight spans, recorded at start in creation order. The
-   buffer is bounded: past [capacity] new spans are counted as dropped but
-   stack discipline (and so parentage of later spans) is preserved. *)
-let capacity = ref 50_000
-let set_capacity n = capacity := n
-let recorded : span list ref = ref [] (* newest first *)
-let recorded_n = ref 0
-let dropped = ref 0
+let live_stacks () = locked (fun () -> Hashtbl.length stacks)
 
-(* Per-thread stack of open spans. *)
-let stacks : (int, span list ref) Hashtbl.t = Hashtbl.create 8
-let stacks_mutex = Mutex.create ()
+(* The innermost open span on this thread, or [None] after one flag test
+   when nothing records. *)
+let current () =
+  if not !recording_flag then None
+  else begin
+    Mutex.lock state_mutex;
+    let stack = stack_locked (self_id ()) in
+    Mutex.unlock state_mutex;
+    match stack with s :: _ -> Some s | [] -> None
+  end
 
-let my_stack () =
-  let id = Thread.id (Thread.self ()) in
-  Mutex.lock stacks_mutex;
-  let st =
-    match Hashtbl.find_opt stacks id with
-    | Some st -> st
-    | None ->
-        let st = ref [] in
-        Hashtbl.replace stacks id st;
-        st
-  in
-  Mutex.unlock stacks_mutex;
-  st
-
-let current () = match !(my_stack ()) with [] -> None | s :: _ -> Some s
+(* Is this thread collecting spans: tracing on, or inside a scope? *)
+let recording () =
+  !recording_flag
+  && (!enabled_flag
+     || match current () with Some s -> s.scope <> None | None -> false)
 
 let reset () =
   locked (fun () ->
-      recorded := [];
-      recorded_n := 0;
-      dropped := 0;
+      buffer.sc_spans <- [];
+      buffer.sc_n <- 0;
+      buffer.sc_dropped <- 0;
       next_trace := 0;
-      next_span := 0);
-  Mutex.lock stacks_mutex;
-  Hashtbl.reset stacks;
-  Mutex.unlock stacks_mutex
+      next_span := 0;
+      Hashtbl.reset stacks)
 
-let record_locked span =
-  if !recorded_n >= !capacity then incr dropped
+let rec record_locked s = function
+  | None -> ()
+  | Some sc ->
+      if sc.sc_n >= sc.sc_capacity then sc.sc_dropped <- sc.sc_dropped + 1
+      else begin
+        sc.sc_spans <- s :: sc.sc_spans;
+        sc.sc_n <- sc.sc_n + 1
+      end;
+      record_locked s sc.sc_outer
+
+let scope_spans sc = locked (fun () -> List.rev sc.sc_spans)
+
+(* Run [f] inside a span.  [remote] adopts a propagated (trace id, parent
+   span) pair, rooting the span under the remote parent (server side);
+   [plan] makes the span a plan node with that label; [scope]
+   is a fresh scope for this span to open; [traced:false] keeps the span
+   out of the global buffer, so only scopes see it.  A span that nothing
+   would record is not opened at all. *)
+let with_span ?(detail = "") ?remote ?plan ?scope ?(traced = true) name f =
+  if scope = None && not !recording_flag then f ()
   else begin
-    recorded := span :: !recorded;
-    incr recorded_n
-  end
-
-let start_span ?(detail = "") ~trace_id ~parent name =
-  let s =
-    locked (fun () ->
-        let s =
-          { trace_id; span_id = fresh_span_id_locked (); parent; name; detail;
-            start_ms = now_ms (); end_ms = nan; events = [] }
-        in
-        record_locked s;
-        s)
-  in
-  let st = my_stack () in
-  st := s :: !st;
-  s
-
-let finish_span s =
-  s.end_ms <- now_ms ();
-  let st = my_stack () in
-  match !st with
-  | top :: rest when top == s -> st := rest
-  | _ -> (* unbalanced finish; drop down to (and including) s if present *)
-      st := (match List.find_index (( == ) s) !st with
-             | Some i -> List.filteri (fun j _ -> j > i) !st
-             | None -> !st)
-
-let with_span ?detail name f =
-  if not !enabled_flag then f ()
-  else begin
-    let trace_id, parent =
-      match current () with
-      | Some p -> (p.trace_id, Some p.span_id)
-      | None -> (fresh_trace_id (), None)
+    let id = self_id () in
+    Mutex.lock state_mutex;
+    (* nothing below raises *)
+    let stack = stack_locked id in
+    let up = match stack with u :: _ -> Some u | [] -> None in
+    let outer = match up with Some u -> u.scope | None -> None in
+    let global = traced && !enabled_flag in
+    let wanted =
+      match (outer, up) with
+      | Some sc, Some u ->
+          plan <> None || Option.fold ~none:false ~some:(( == ) u) sc.sc_owner
+      | _ -> false
     in
-    let s = start_span ?detail ~trace_id ~parent name in
-    Fun.protect ~finally:(fun () -> finish_span s) f
+    if not (global || scope <> None || wanted) then begin
+      Mutex.unlock state_mutex;
+      f ()
+    end
+    else begin
+      let trace_id, parent =
+        match (remote, up) with
+        | Some (t, p), _ -> (t, Some p)
+        | None, Some u -> (u.trace_id, Some u.span_id)
+        | None, None ->
+            incr next_trace;
+            (!process_tag ^ "t" ^ string_of_int !next_trace, None)
+      in
+      incr next_span;
+      let s =
+        { trace_id; span_id = !process_tag ^ "s" ^ string_of_int !next_span;
+          parent; name; detail; start_ms = now_ms (); end_ms = nan;
+          events = []; up;
+          scope = (if scope = None then outer else scope);
+          (* a plan node its scope has no room for stays a plain span, so
+             its kernel ops land in the nearest kept node *)
+          plan =
+            (match (plan, outer) with
+            | Some _, Some o when o.sc_n >= o.sc_capacity -> None
+            | Some label, _ -> Some { label; rows = -1; ops = [] }
+            | None, _ -> None) }
+      in
+      if global then record_locked s (Some buffer);
+      record_locked s outer;
+      Option.iter
+        (fun nsc ->
+          nsc.sc_owner <- Some s;
+          nsc.sc_outer <- outer;
+          incr open_scopes;
+          refresh ())
+        scope;
+      Hashtbl.replace stacks id (s :: stack);
+      Mutex.unlock state_mutex;
+      Fun.protect
+        ~finally:(fun () ->
+          s.end_ms <- now_ms ();
+          Mutex.lock state_mutex;
+          pop_locked id s;
+          if scope <> None then begin
+            decr open_scopes;
+            refresh ()
+          end;
+          Mutex.unlock state_mutex)
+        f
+    end
   end
 
-(* Server-side adoption of a propagated context: roots a local span under
-   the remote parent, keeping the remote trace id. *)
-let with_remote_parent ?detail ~trace_id ~parent name f =
-  if not !enabled_flag then f ()
-  else begin
-    let s = start_span ?detail ~trace_id ~parent:(Some parent) name in
-    Fun.protect ~finally:(fun () -> finish_span s) f
-  end
+(* The plan node [s] is, or is under: the nearest on its stack, across
+   the threads its work was handed to. *)
+let rec plan_of s =
+  match (s.plan, s.up) with
+  | Some p, _ -> Some p
+  | None, Some u -> plan_of u
+  | None, None -> None
 
 (* Run [f] with [span] installed as this thread's ambient current span.
    The span is NOT re-recorded and NOT finished here — it belongs to the
    thread that started it.  The dispatch executor uses this to carry the
-   submitting thread's open span onto a pool thread, so spans opened by
-   the shipped work keep their logical parent instead of becoming roots
-   of orphan traces. *)
+   submitting thread's open span onto a pool thread, so spans and plan
+   nodes opened by the shipped work keep their logical parent and their
+   scopes instead of becoming roots of orphan traces. *)
 let with_ambient span f =
-  if not !enabled_flag then f ()
+  if not !recording_flag then f ()
   else begin
-    let st = my_stack () in
-    st := span :: !st;
-    Fun.protect
-      ~finally:(fun () ->
-        match !st with s :: rest when s == span -> st := rest | _ -> ())
-      f
+    let id = self_id () in
+    locked (fun () -> Hashtbl.replace stacks id (span :: stack_locked id));
+    Fun.protect ~finally:(fun () -> locked (fun () -> pop_locked id span)) f
   end
 
 let event ?(detail = "") name =
@@ -189,17 +275,17 @@ let propagation () =
   if not !enabled_flag then None
   else match current () with Some s -> Some (s.trace_id, s.span_id) | None -> None
 
-let spans () = List.rev !recorded (* creation order *)
+let spans () = List.rev buffer.sc_spans (* creation order *)
 
 (* Mark/since: capture the spans created during one request without
    copying the buffer.  [mark] snapshots the recorded count; [since m]
    returns the spans recorded after that point, in creation order.  The
    flight recorder uses the pair to attach each request's span slice to
    its ring entry. *)
-let mark () = locked (fun () -> !recorded_n)
+let mark () = locked (fun () -> buffer.sc_n)
 
 let since m =
-  let all, n = locked (fun () -> (!recorded, !recorded_n)) in
+  let all, n = locked (fun () -> (buffer.sc_spans, buffer.sc_n)) in
   if n <= m then []
   else
     (* [all] is newest first: the spans since the mark are its first
@@ -210,10 +296,10 @@ let since m =
     in
     take (n - m) [] all
 
-let dropped_count () = !dropped
+let dropped_count () = buffer.sc_dropped
 
 let open_count () =
-  List.length (List.filter (fun s -> Float.is_nan s.end_ms) !recorded)
+  List.length (List.filter (fun s -> Float.is_nan s.end_ms) buffer.sc_spans)
 
 let duration_ms s = if Float.is_nan s.end_ms then nan else s.end_ms -. s.start_ms
 
@@ -261,8 +347,9 @@ let render () =
     List.iter (pr (indent ^ "  ")) (kids s.span_id)
   in
   List.iter (pr "") roots;
-  if !dropped > 0 then
-    Buffer.add_string buf (Printf.sprintf "(%d spans dropped: buffer full)\n" !dropped);
+  if buffer.sc_dropped > 0 then
+    Buffer.add_string buf
+      (Printf.sprintf "(%d spans dropped: buffer full)\n" buffer.sc_dropped);
   Buffer.contents buf
 
 (* Structure-only rendering — span names, nesting and event names, but no

@@ -13,18 +13,24 @@ open Xrpc_xml
 module Xast = Xrpc_xquery.Ast
 module Xctx = Xrpc_xquery.Context
 
-(* Strip trivial cardinality wrappers: zero-or-one(e), exactly-one(e), ... *)
+(* Cardinality wrappers, and the result sizes each lets through *)
+let wrappers =
+  [ ("zero-or-one", fun n -> n <= 1); ("exactly-one", fun n -> n = 1);
+    ("one-or-more", fun n -> n >= 1) ]
+
+(* Strip the wrappers around [e]; returns [e]'s inner expression and the
+   stripped wrappers' checks. *)
 let rec strip_wrappers (e : Xast.expr) =
   match e with
-  | Xast.Call (q, [ arg ])
-    when List.mem q.Qname.local
-           [ "zero-or-one"; "exactly-one"; "one-or-more" ] ->
-      strip_wrappers arg
-  | e -> e
+  | Xast.Call (q, [ arg ]) when List.mem_assoc q.Qname.local wrappers ->
+      let inner, checks = strip_wrappers arg in
+      (inner, List.assoc q.Qname.local wrappers :: checks)
+  | e -> (e, [])
 
-(** Recognize [PATH[key = $param]] with the predicate on the final step;
-    returns (path without the predicate, key expression, parameter,
-    comparison). *)
+(** Recognize [PATH[key = $param]] with the predicate on the final step,
+    possibly under cardinality wrappers; returns (path without the
+    predicate, key expression, parameter, comparison, the wrappers'
+    cardinality checks). *)
 let selection_pattern (params : Qname.t list) (body : Xast.expr) =
   let is_param v = List.exists (Qname.equal v) params in
   let split_pred = function
@@ -36,15 +42,16 @@ let selection_pattern (params : Qname.t list) (body : Xast.expr) =
         Some (k, v, op)
     | _ -> None
   in
-  match strip_wrappers body with
+  let body, checks = strip_wrappers body in
+  match body with
   | Xast.Path (prefix, Xast.Step (axis, test, [ pred ])) -> (
       match split_pred pred with
       | Some (k, v, op) ->
-          Some (Xast.Path (prefix, Xast.Step (axis, test, [])), k, v, op)
+          Some (Xast.Path (prefix, Xast.Step (axis, test, [])), k, v, op, checks)
       | None -> None)
   | Xast.Filter (e, [ pred ]) -> (
       match split_pred pred with
-      | Some (k, v, op) -> Some (e, k, v, op)
+      | Some (k, v, op) -> Some (e, k, v, op, checks)
       | None -> None)
   | _ -> None
 
@@ -65,8 +72,10 @@ exception Not_joinable
     Returns [None] when the pattern does not apply or the join could
     answer differently from one call at a time: a probe key that is not
     exactly one string-like value, a build key that is not string-like,
-    or several keys on one node under [eq] (caller falls back to
-    call-at-a-time). *)
+    several keys on one node under [eq], or a joined result that a
+    stripped cardinality wrapper or the declared return type would
+    reject (caller falls back to call-at-a-time, which raises the
+    error). *)
 let hash_join_execute ctx (f : Xctx.func) (calls : Xdm.sequence list list) =
   let decl = f.Xctx.decl in
   let params = List.map fst decl.Xast.fn_params in
@@ -74,7 +83,7 @@ let hash_join_execute ctx (f : Xctx.func) (calls : Xdm.sequence list list) =
   | None, _ -> None
   | Some _, [] -> Some []
   | Some _, [ _ ] -> None (* a single call gains nothing; keep the plain plan *)
-  | Some (path, key_expr, join_param, op), _ -> (
+  | Some (path, key_expr, join_param, op, checks), _ -> (
       let fname = Qname.to_string decl.Xast.fn_name in
       let convert call =
         try
@@ -135,5 +144,14 @@ let hash_join_execute ctx (f : Xctx.func) (calls : Xdm.sequence list list) =
               keys)
           (Xrpc_xquery.Eval.eval bind_ctx path);
         (* probe side: one lookup per call *)
-        Some (List.map (fun k -> List.rev (Hashtbl.find_all index k)) probes)
+        let results =
+          List.map (fun k -> List.rev (Hashtbl.find_all index k)) probes
+        in
+        let accept r =
+          List.for_all (fun ok -> ok (List.length r)) checks
+          && Option.fold ~none:true
+               ~some:(fun st -> Xrpc_xquery.Eval.seq_type_matches st r)
+               decl.Xast.fn_return
+        in
+        if List.for_all accept results then Some results else None
       with Not_joinable -> None)

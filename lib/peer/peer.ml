@@ -286,19 +286,8 @@ let dispatcher peer peers_acc : Xctx.dispatcher =
   in
   let note dest = if not (List.mem dest !peers_acc) then peers_acc := dest :: !peers_acc in
   let decode dest raw =
-    (* with profiling on, pull the serving peer's phase breakdown out of
-       the response's serverProfile attribute and account the response
-       bytes to [dest] *)
-    let msg =
-      if Profile.enabled () then begin
-        Profile.note_recv ~dest ~bytes:(String.length raw);
-        let msg, server_profile = Message.of_string_profiled raw in
-        Option.iter (fun p -> Profile.note_remote ~dest p) server_profile;
-        msg
-      end
-      else Message.of_string raw
-    in
-    match msg with
+    Profile.note_recv ~dest ~bytes:(String.length raw);
+    match Message.of_reply ~dest raw with
     | Message.Response r as m ->
         note dest;
         List.iter note r.Message.peers;
@@ -307,8 +296,7 @@ let dispatcher peer peers_acc : Xctx.dispatcher =
   in
   let serialize ~dest req =
     let body = Message.to_string (Message.Request (assign_idem_key peer req)) in
-    if Profile.enabled () then
-      Profile.note_send ~dest ~bytes:(String.length body);
+    Profile.note_send ~dest ~bytes:(String.length body);
     body
   in
   (* each logical RPC gets its own span; the request body is serialized
@@ -447,19 +435,7 @@ let compile_module peer ~uri ~location : Plan_cache.compiled =
       compile_static peer
         (Xrpc_xquery.Parser.parse_prog (module_resolver peer ~uri ~location)))
 
-(* Accumulate a named phase's wall cost into [phases] (when the caller
-   wants the server-side breakdown); the cost is recorded even when [f]
-   raises, so a faulted request still reports where it spent its time. *)
-let phase_timed phases name f =
-  match phases with
-  | None -> f ()
-  | Some acc ->
-      let t0 = Trace.now_ms () in
-      Fun.protect
-        ~finally:(fun () -> acc := !acc @ [ (name, Trace.now_ms () -. t0) ])
-        f
-
-let handle_request ?phases peer (r : Message.request) : Message.t =
+let handle_request peer (r : Message.request) : Message.t =
   peer.requests_handled <- peer.requests_handled + 1;
   peer.calls_handled <- peer.calls_handled + List.length r.Message.calls;
   Metrics.incr m_requests;
@@ -549,7 +525,9 @@ let handle_request ?phases peer (r : Message.request) : Message.t =
     match
       match cache_key with
       | Some key ->
-          phase_timed phases "cache" @@ fun () ->
+          (* recorded for the serverProfile phases only; the global
+             trace keeps its shape *)
+          Trace.with_span ~traced:false "peer.cache" @@ fun () ->
           Result_cache.find peer.result_cache ~key
             ~doc_version:(Database.doc_version version)
       | None -> None
@@ -572,7 +550,6 @@ let handle_request ?phases peer (r : Message.request) : Message.t =
     | None ->
     let compiled =
       (* covers parse + prolog + static check on a cache miss; ~0 on a hit *)
-      phase_timed phases "compile" @@ fun () ->
       Trace.with_span ~detail:r.Message.module_uri "peer.compile" @@ fun () ->
       compile_module peer ~uri:r.Message.module_uri ~location:r.Message.location
     in
@@ -598,7 +575,6 @@ let handle_request ?phases peer (r : Message.request) : Message.t =
        answered with one scan + hash join over all calls (the set-oriented
        opportunity of §1); otherwise the body runs once per call *)
     let results =
-      phase_timed phases "exec" @@ fun () ->
       Trace.with_span ~detail:r.Message.method_ "peer.exec" @@ fun () ->
       let joined =
         if f.Xctx.decl.Xrpc_xquery.Ast.fn_updating then None
@@ -618,7 +594,6 @@ let handle_request ?phases peer (r : Message.request) : Message.t =
     (* updating semantics *)
     let pul = List.rev !(ctx.Xctx.pul) in
     (if pul <> [] then
-       phase_timed phases "commit" @@ fun () ->
        Trace.with_span "peer.commit" @@ fun () ->
        match entry with
        | Some e ->
@@ -723,6 +698,18 @@ let with_peer_lock peer f =
       f
   end
 
+(* The serverProfile phases of a request: the durations of the peer.*
+   spans directly under its peer.handle span, in the order they ran. *)
+let server_phases scope =
+  let handle = Option.map (fun h -> h.Trace.span_id) scope.Trace.sc_owner in
+  List.filter_map
+    (fun s ->
+      match String.split_on_char '.' s.Trace.name with
+      | [ "peer"; phase ] when s.Trace.parent = handle ->
+          Some (phase, Trace.duration_ms s)
+      | _ -> None)
+    (Trace.scope_spans scope)
+
 let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
     unit =
   let len = match len with Some l -> l | None -> String.length body - pos in
@@ -737,17 +724,15 @@ let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
   let msg = Result.map (fun (m, _, _) -> m) parsed in
   (* measure the server-side phase breakdown whenever someone will read
      it: the caller asked (the profile request attribute), sent a trace
-     context (a traced distributed query), or observability is on in
-     this process.  Plain traffic pays nothing and its wire format is
+     context (a traced distributed query), or this thread records spans.
+     The request's spans then go into a scope of its own, whether or not
+     tracing is on.  Plain traffic pays nothing and its wire format is
      unchanged. *)
-  let want_profile =
-    Profile.enabled () || Trace.enabled ()
-    || (match parsed with
-       | Ok (_, Some _, _) | Ok (_, _, true) -> true
-       | _ -> false)
-  in
-  let phases =
-    if want_profile then Some (ref [ ("parse", parse_ms) ]) else None
+  let scope =
+    match parsed with
+    | Ok (_, Some _, _) | Ok (_, _, true) -> Some (Trace.new_scope ())
+    | _ when Trace.recording () -> Some (Trace.new_scope ())
+    | _ -> None
   in
   let flight_label =
     match msg with
@@ -784,14 +769,8 @@ let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
   (* the span adopts the caller's propagated (trace-id, parent-span) when
      the envelope header carries one, so peer-side work lands in the
      originating query's tree; the parse itself is recorded as an event *)
-  let span_body f =
-    match parsed with
-    | Ok (_, Some (trace_id, parent), _) ->
-        Trace.with_remote_parent ~detail:peer.uri ~trace_id ~parent
-          "peer.handle" f
-    | _ -> Trace.with_span ~detail:peer.uri "peer.handle" f
-  in
-  span_body @@ fun () ->
+  let remote = match parsed with Ok (_, remote, _) -> remote | Error _ -> None in
+  Trace.with_span ?remote ?scope ~detail:peer.uri "peer.handle" @@ fun () ->
   Trace.event
     ~detail:(Printf.sprintf "%.3fms" ((Unix.gettimeofday () -. t0) *. 1000.))
     "peer-parse";
@@ -819,7 +798,7 @@ let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
   let reply =
     try
       match msg with
-      | Ok (Message.Request r) -> handle_request ?phases peer r
+      | Ok (Message.Request r) -> handle_request peer r
       | Ok (Message.Tx_request (op, qid)) -> handle_tx peer op qid
       | Ok _ -> Message.Fault { fault_code = `Sender; reason = "expected a request" }
       | Error e -> raise e
@@ -863,7 +842,10 @@ let handle_raw_into peer ?(pos = 0) ?len (body : string) (out : Buffer.t) :
      serialized exactly once, directly into the caller's (reused) output
      buffer — the streaming-serialize half of the event-loop server *)
   let start = Buffer.length out in
-  Message.to_buffer ?server_profile:(Option.map ( ! ) phases) out reply;
+  Message.to_buffer
+    ?server_profile:
+      (Option.map (fun sc -> ("parse", parse_ms) :: server_phases sc) scope)
+    out reply;
   (* remember successful replies only: a faulted request had no effects,
      so a retry may legitimately re-execute it *)
   (match (idem_key, reply) with

@@ -492,6 +492,16 @@ let of_string_profiled s =
   let tree = parse s in
   (of_tree tree, server_profile_of_tree tree)
 
+(** Parse a reply from [dest]; under a profile, the serving peer's
+    serverProfile phases are noted against [dest]. *)
+let of_reply ~dest s =
+  if not (Xrpc_obs.Profile.enabled ()) then of_string s
+  else begin
+    let m, phases = of_string_profiled s in
+    Option.iter (Xrpc_obs.Profile.note_remote ~dest) phases;
+    m
+  end
+
 (** Server-side parse: the message, its propagated trace context, and
     whether the caller asked for the phase breakdown (xrpc:profile).
     [?pos]/[?len] parse the envelope out of a window of [s] — the

@@ -881,26 +881,22 @@ and convert_argument ~fname (q : Qname.t) (ty : Ast.seq_type option)
 
 and apply_function ctx (f : Context.func) (arg_values : Xdm.sequence list) =
   Metrics.incr m_applications;
-  if not (Trace.enabled () || Profile.enabled ()) then
-    apply_function_inner ctx f arg_values
+  if not (Trace.recording ()) then apply_function_inner ctx f arg_values
   else begin
-    (* span/node only the outermost application (the unit the XRPC handler
-       bills per call); inner recursion is aggregated into the histogram *)
+    (* span only the outermost application (the unit the XRPC handler
+       bills per call; under a profile the span is the "apply" plan node);
+       inner recursion is aggregated into the histogram *)
     let t0 = Trace.now_ms () in
     let run () =
       let r = apply_function_inner ctx f arg_values in
-      if Trace.enabled () then Metrics.observe m_apply_ms (Trace.now_ms () -. t0);
+      Metrics.observe m_apply_ms (Trace.now_ms () -. t0);
       r
     in
-    if ctx.Context.call_depth = 0 then begin
-      let name = Qname.to_string f.Context.decl.Ast.fn_name in
-      let traced () =
-        if Trace.enabled () then Trace.with_span ~detail:name "eval.apply" run
-        else run ()
-      in
-      if Profile.enabled () then Profile.with_node ~detail:name "apply" traced
-      else traced ()
-    end
+    if ctx.Context.call_depth = 0 then
+      Trace.with_span
+        ?plan:(if Profile.enabled () then Some "apply" else None)
+        ~detail:(Qname.to_string f.Context.decl.Ast.fn_name)
+        "eval.apply" run
     else run ()
   end
 
@@ -1010,7 +1006,7 @@ and bulk_execute base_ctx tuples dest_e fname args =
             calls = [ p0 ];
           }
         in
-        if Profile.enabled () then Profile.note_calls ~dest:d0 1;
+        Profile.note_calls ~dest:d0 1;
         let result =
           match dispatcher.Context.call ~dest:d0 req with
           | Message.Response { results = [ r ]; _ } -> r

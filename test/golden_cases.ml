@@ -23,12 +23,10 @@ let case ?trace ?server_profile ?(profile_flag = false) name msg =
 
 (* [encode c] — the case's wire string *)
 let encode c =
-  let saved = !Xrpc_obs.Profile.enabled_flag in
-  Xrpc_obs.Profile.enabled_flag := c.profile_flag;
-  Fun.protect
-    ~finally:(fun () -> Xrpc_obs.Profile.enabled_flag := saved)
-    (fun () ->
-      Message.to_string ?trace:c.trace ?server_profile:c.server_profile c.msg)
+  let enc () =
+    Message.to_string ?trace:c.trace ?server_profile:c.server_profile c.msg
+  in
+  if c.profile_flag then fst (Xrpc_obs.Profile.profiled enc) else enc ()
 
 let root_of xml = Store.root (Store.shred (Xml_parse.document xml))
 let element xml = List.hd (Store.children (root_of xml))

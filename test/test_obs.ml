@@ -177,7 +177,7 @@ let test_trace_remote_parent_and_propagation () =
     match !ctx with Some c -> c | None -> Alcotest.fail "no context"
   in
   (* "the server side": adopt the propagated context *)
-  Trace.with_remote_parent ~trace_id ~parent "server" (fun () ->
+  Trace.with_span ~remote:(trace_id, parent) "server" (fun () ->
       Trace.with_span "work" (fun () -> ()));
   let server = find_span "server" and work = find_span "work" in
   check string_ "server joins the client's trace" trace_id server.Trace.trace_id;
@@ -201,6 +201,23 @@ let test_trace_capacity_bounded () =
       done;
       check int_ "buffer capped" 10 (List.length (Trace.spans ()));
       check int_ "overflow counted" 15 (Trace.dropped_count ()))
+
+(* A thread's stack entry lives only while it has an open span, so
+   short-lived threads (one per outgoing leg on an unbounded executor)
+   leave nothing behind; with nothing recording, asking for the current
+   span creates no entry either. *)
+let test_trace_thread_stacks_released () =
+  with_tracer @@ fun () ->
+  Trace.set_enabled true;
+  for _ = 1 to 1_000 do
+    Thread.join
+      (Thread.create (fun () -> Trace.with_span "leg" (fun () -> ())) ())
+  done;
+  check int_ "spans recorded" 1_000 (List.length (Trace.spans ()));
+  check int_ "no live stack entries" 0 (Trace.live_stacks ());
+  Trace.set_enabled false;
+  check bool_ "no current span" true (Trace.current () = None);
+  check int_ "still none" 0 (Trace.live_stacks ())
 
 (* ------------------------------------------------------------------ *)
 (* SOAP envelope propagation                                           *)
@@ -388,6 +405,38 @@ let chaos_traced_run ~seed ~loss =
   Cluster.disable_tracing ();
   (sig_, fs, opens, !failed)
 
+(* One two-peer query under a seeded fault schedule, tracing on and
+   profiling off: its span-tree signature, pinned literally. *)
+let test_seeded_query_signature_golden () =
+  with_tracer @@ fun () ->
+  let cluster =
+    Cluster.create ~config:sim_config
+      ~faults:(Simnet.chaos ~seed:5 ~loss:0.3 ())
+      ~policy:chaos_policy ~names:[ "x"; "y"; "z" ] ()
+  in
+  List.iter
+    (fun n ->
+      Peer.register_module (Cluster.peer cluster n) ~uri:Testmod.module_ns
+        ~location:Testmod.module_at Testmod.test_module)
+    [ "x"; "y"; "z" ];
+  Cluster.enable_tracing cluster;
+  let r = Peer.query_seq (Cluster.peer cluster "x") q_two_peers in
+  Cluster.disable_tracing ();
+  check string_ "query answered" "1 1" (Xdm.to_display r);
+  check string_ "signature"
+    ("query!plan-cache-miss(client.compile(client.parse),client.bind,"
+   ^ "client.exec(rpc.parallel(net.send!net-delay!net-drop-response,"
+   ^ "peer.handle!peer-parse(peer.compile,peer.exec(eval.apply)),"
+   ^ "transport.send!attempt-failed!backoff!attempt-failed!backoff("
+   ^ "net.send!net-delay!net-drop-response,net.send!net-drop-response,"
+   ^ "net.send!net-delay),peer.handle!peer-parse!idem-hit,"
+   ^ "peer.handle!peer-parse!idem-hit,peer.handle!peer-parse!idem-hit,"
+   ^ "transport.send!attempt-failed!backoff(net.send!net-drop-request,"
+   ^ "net.send!net-duplicate),"
+   ^ "peer.handle!peer-parse(peer.compile,peer.exec(eval.apply)),"
+   ^ "peer.handle!peer-parse!idem-hit)))")
+    (Trace.signature ())
+
 let test_chaos_no_leaked_spans () =
   with_tracer @@ fun () ->
   List.iter
@@ -458,6 +507,8 @@ let () =
           Alcotest.test_case "remote parent stitching" `Quick
             test_trace_remote_parent_and_propagation;
           Alcotest.test_case "bounded buffer" `Quick test_trace_capacity_bounded;
+          Alcotest.test_case "thread stacks released" `Quick
+            test_trace_thread_stacks_released;
         ] );
       ( "propagation",
         [
@@ -478,6 +529,8 @@ let () =
             test_chaos_no_leaked_spans;
           Alcotest.test_case "retries visible as events" `Quick
             test_chaos_retry_events_in_tree;
+          Alcotest.test_case "seeded query signature golden" `Quick
+            test_seeded_query_signature_golden;
           Alcotest.test_case "seeded replay, same tree" `Quick
             test_chaos_span_tree_replay;
         ] );

@@ -332,7 +332,10 @@ let test_bulk_hash_join_used_and_correct () =
    a call would compare otherwise: a numeric parameter or key casts the
    untyped side to double ("01" = 1), an empty parameter matches
    nothing, not the empty-string key, and a two-item parameter matches
-   either item.  Bulk answers equal single-call answers either way. *)
+   either item.  It must also step aside when a call's result would fail
+   a cardinality wrapper the pattern strips ([zero-or-one] on two
+   matches, [exactly-one] on none) or the declared return type.  Bulk
+   answers equal single-call answers either way, faults included. *)
 let test_bulk_join_equals_singles () =
   let peer = Peer.create "xrpc://join.example.org" in
   Peer.register_module peer ~uri:"regress" ~location:"http://x.example.org/regress.xq"
@@ -340,9 +343,12 @@ let test_bulk_join_equals_singles () =
 declare function f:get($n as xs:integer) { doc("d.xml")//e[@n = $n] };
 declare function f:opt($k as xs:string?) { doc("d.xml")//e[@s = $k] };
 declare function f:any($k) { doc("d.xml")//e[@s = $k] };
-declare function f:num($k) { doc("d.xml")//e[number(@n) = $k] };|};
+declare function f:num($k) { doc("d.xml")//e[number(@n) = $k] };
+declare function f:zo($k as xs:string) { zero-or-one(doc("d.xml")//e[@s = $k]) };
+declare function f:one($k as xs:string) { exactly-one(doc("d.xml")//e[@s = $k]) };
+declare function f:ret($k as xs:string) as element()? { doc("d.xml")//e[@s = $k] };|};
   Database.add_doc_xml peer.Peer.db "d.xml"
-    {|<d><e n="01" s="01"/><e n="2.0" s="2.0"/><e n="3" s="3"/><e s=""/></d>|};
+    {|<d><e n="01" s="01"/><e n="2.0" s="2.0"/><e n="3" s="3"/><e s=""/><e s="x"/><e s="x"/><e s="y"/></d>|};
   let req method_ calls =
     {
       Message.module_uri = "regress";
@@ -359,19 +365,33 @@ declare function f:num($k) { doc("d.xml")//e[number(@n) = $k] };|};
   let results method_ calls =
     match handle peer (req method_ calls) with
     | Message.Response r -> List.map Xdm.to_display r.Message.results
+    | Message.Fault f -> [ "fault: " ^ f.Message.reason ]
     | _ -> Alcotest.failf "%s: expected a response" method_
+  in
+  (* call at a time, the first fault ends the request *)
+  let singles method_ calls =
+    let rs = List.map (fun c -> results method_ [ c ]) calls in
+    match
+      List.find_opt
+        (function [ f ] -> String.starts_with ~prefix:"fault: " f | _ -> false)
+        rs
+    with
+    | Some fault -> fault
+    | None -> List.concat rs
   in
   List.iter
     (fun (method_, calls) ->
-      let bulk = results method_ calls in
-      let singles = List.concat_map (fun c -> results method_ [ c ]) calls in
-      check (Alcotest.list string_) (method_ ^ ": bulk = singles") singles bulk)
+      check (Alcotest.list string_) (method_ ^ ": bulk = singles")
+        (singles method_ calls) (results method_ calls))
     [
       ("get", [ [ Xdm.int 1 ]; [ Xdm.int 2 ]; [ Xdm.int 3 ] ]);
       ("opt", [ [ Xdm.str "3" ]; []; [ Xdm.str "01" ] ]);
       ("any", [ [ Xdm.str "3"; Xdm.str "01" ]; [ Xdm.str "2.0" ]; [ Xdm.str "" ] ]);
       ( "num",
         List.map (fun k -> [ Xdm.Atomic (Xs.Untyped k) ]) [ "01"; "2.0"; "3" ] );
+      ("zo", [ [ Xdm.str "x" ]; [ Xdm.str "y" ] ]);
+      ("one", [ [ Xdm.str "y" ]; [ Xdm.str "missing" ] ]);
+      ("ret", [ [ Xdm.str "x" ]; [ Xdm.str "y" ] ]);
     ];
   check (Alcotest.list string_) "numeric keys match after the cast"
     [ {|<e n="01" s="01"/>|}; {|<e n="2.0" s="2.0"/>|}; {|<e n="3" s="3"/>|} ]

@@ -17,6 +17,7 @@ module Cluster = Xrpc_core.Cluster
 module Client = Xrpc_core.Xrpc_client
 module Peer = Xrpc_peer.Peer
 module Simnet = Xrpc_net.Simnet
+module Executor = Xrpc_net.Executor
 module Message = Xrpc_soap.Message
 module Looplift = Xrpc_algebra.Looplift
 module Ops = Xrpc_algebra.Ops
@@ -405,21 +406,24 @@ let test_flight_concurrent_writers () =
 (* Profile collection                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The "unit" profile: two nested nodes on an injected clock, the inner
+   one with a cardinality and two merged kernel ops. *)
+let unit_profile () =
+  let t = fake_clock () in
+  Profile.profiled ~label:"unit" (fun () ->
+      Profile.with_node "a" (fun () ->
+          t := 2.;
+          Profile.with_node ~detail:"d" "b" (fun () ->
+              t := 5.;
+              Profile.set_rows 7;
+              Profile.record_op "select" ~rows_in:10 ~rows_out:7 1.5;
+              Profile.record_op "select" ~rows_in:4 ~rows_out:2 0.5));
+      42)
+
 let test_profile_nodes_and_ops () =
   with_clean @@ fun () ->
-  let t = fake_clock () in
   check bool_ "profiling off by default" false (Profile.enabled ());
-  let r, p =
-    Profile.profiled ~label:"unit" (fun () ->
-        Profile.with_node "a" (fun () ->
-            t := 2.;
-            Profile.with_node ~detail:"d" "b" (fun () ->
-                t := 5.;
-                Profile.set_rows 7;
-                Profile.record_op "select" ~rows_in:10 ~rows_out:7 1.5;
-                Profile.record_op "select" ~rows_in:4 ~rows_out:2 0.5));
-        42)
-  in
+  let r, p = unit_profile () in
   check int_ "thunk result returned" 42 r;
   check bool_ "profiling restored off" false (Profile.enabled ());
   check (Alcotest.float 1e-9) "total on the injected clock" 5.
@@ -447,6 +451,20 @@ let test_profile_nodes_and_ops () =
   assert_has "merged op" "select x2" text;
   assert_json "profile json" (Profile.to_json p)
 
+(* The unit profile's text and JSON, pinned byte for byte. *)
+let test_profile_unit_golden () =
+  with_clean @@ fun () ->
+  let _, p = unit_profile () in
+  check string_ "render"
+    "profile unit: total 5.000 ms  (2 plan nodes)\n\
+     #1 a  5.000 ms\n\
+    \  #2 b (d)  3.000 ms  rows=7\n\
+    \     ops: select x2  14->9 rows  2.000 ms\n"
+    (Profile.render p);
+  check string_ "to_json"
+    {|{"label":"unit","total_ms":5,"plan":[{"id":1,"name":"a","ms":5,"ops":[],"children":[{"id":2,"name":"b","detail":"d","ms":3,"rows":7,"ops":[{"op":"select","calls":2,"rows_in":14,"rows_out":9,"ms":2}],"children":[]}]}]}|}
+    (Profile.to_json p)
+
 let test_profile_node_capacity () =
   with_clean @@ fun () ->
   ignore (fake_clock ());
@@ -472,6 +490,34 @@ let test_profile_off_records_nothing () =
   let (), p = Profile.profiled (fun () -> ()) in
   check int_ "no leaked nodes" 0 (Profile.node_count p);
   check int_ "no leaked dests" 0 (List.length (Profile.dests p))
+
+(* Work shipped to an executor pool thread under an open plan node stays
+   under that node: a node opened there is its child, and a kernel op
+   recorded there lands in it, not in the profile's root ops. *)
+let test_profile_nodes_across_executor_threads () =
+  with_clean @@ fun () ->
+  let pool = Executor.pool 2 in
+  Fun.protect ~finally:(fun () -> Executor.shutdown pool) @@ fun () ->
+  let (), p =
+    Profile.profiled (fun () ->
+        Profile.with_node "bulkrpc" (fun () ->
+            Executor.await
+              (Executor.submit pool (fun () ->
+                   Profile.record_op "select" ~rows_in:3 ~rows_out:1 0.5;
+                   Profile.with_node "leg" (fun () -> ())))))
+  in
+  match Profile.nodes p with
+  | [ outer; leg ] ->
+      check string_ "outer node" "bulkrpc" outer.Profile.name;
+      check bool_ "leg's parent is the open node" true
+        (leg.Profile.parent = Some outer.Profile.id);
+      check bool_ "op lands in the open node" true
+        (List.mem_assoc "select" outer.Profile.ops);
+      check bool_ "no root ops" false
+        (List.exists
+           (fun l -> String.starts_with ~prefix:"ops:" l)
+           (String.split_on_char '\n' (Profile.render p)))
+  | l -> Alcotest.failf "expected 2 nodes, got %d" (List.length l)
 
 let iii rows =
   Table.make [ "iter"; "pos"; "item" ]
@@ -592,6 +638,48 @@ let test_profile_flag_stamped_on_requests () =
         check bool_ "flag when profiling" true flag)
   in
   ()
+
+(* A request that asks for serverProfile gets its parse, compile and
+   exec phases back whether or not this process traces, and whether or
+   not the trace buffer has room left. *)
+let test_server_profile_independent_of_tracing () =
+  with_clean @@ fun () ->
+  Fun.protect ~finally:(fun () -> Trace.set_capacity 50_000) @@ fun () ->
+  let peer = Peer.create "xrpc://phases.example.org" in
+  Peer.register_module peer ~uri:Testmod.module_ns ~location:Testmod.module_at
+    Testmod.test_module;
+  let request =
+    match ping_request with
+    | Message.Request r -> Message.Request { r with Message.cache_ok = false }
+    | m -> m
+  in
+  (* serialized while profiling, so the request carries profile="true" *)
+  let body, _ = Profile.profiled (fun () -> Message.to_string request) in
+  let expect_phases what =
+    match Message.of_string_profiled (Peer.handle_raw peer body) with
+    | Message.Response _, Some phases ->
+        List.iter
+          (fun ph ->
+            if not (List.mem_assoc ph phases) then
+              Alcotest.failf "%s: phase %s missing (have: %s)" what ph
+                (String.concat ", " (List.map fst phases)))
+          [ "parse"; "compile"; "exec" ]
+    | Message.Response _, None ->
+        Alcotest.failf "%s: no serverProfile attribute" what
+    | _ -> Alcotest.failf "%s: expected a response" what
+  in
+  expect_phases "tracing off";
+  Trace.set_capacity 0;
+  expect_phases "tracing off, capacity 0";
+  Trace.set_enabled true;
+  expect_phases "tracing on, capacity 0";
+  Trace.reset ();
+  Trace.set_capacity 3;
+  for _ = 1 to 5 do
+    Trace.with_span "filler" ignore
+  done;
+  check bool_ "buffer full" true (Trace.dropped_count () > 0);
+  expect_phases "tracing on, full buffer"
 
 (* ------------------------------------------------------------------ *)
 (* End to end: a profiled distributed query over two simulated peers   *)
@@ -739,12 +827,16 @@ let () =
         [
           Alcotest.test_case "nodes, rows and merged ops" `Quick
             test_profile_nodes_and_ops;
+          Alcotest.test_case "unit profile golden" `Quick
+            test_profile_unit_golden;
           Alcotest.test_case "bounded plan nodes" `Quick
             test_profile_node_capacity;
           Alcotest.test_case "off records nothing" `Quick
             test_profile_off_records_nothing;
           Alcotest.test_case "kernel ops attributed" `Quick
             test_profile_captures_kernel_ops;
+          Alcotest.test_case "nodes across executor threads" `Quick
+            test_profile_nodes_across_executor_threads;
         ] );
       ( "explain",
         [ Alcotest.test_case "static plan rendering" `Quick test_explain_plan ]
@@ -755,6 +847,8 @@ let () =
             test_server_profile_roundtrip;
           Alcotest.test_case "profile flag on requests" `Quick
             test_profile_flag_stamped_on_requests;
+          Alcotest.test_case "serverProfile without tracing" `Quick
+            test_server_profile_independent_of_tracing;
         ] );
       ( "distributed",
         [
